@@ -20,6 +20,14 @@ cargo fmt --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> sz-benchmark tests: every workload at tiny sizes, outputs checked"
+# The end-to-end benchmark is a Cargo package of its own, so the
+# workspace steps above never build it. Its tests run each workload
+# untraced, traced and with a second seed, and check the outputs:
+# sentinel_replay alerts exactly once at arrival 9, serve_hit hits are
+# byte-identical, traced and untraced digests agree.
+cargo test -q --release --offline --manifest-path src/bin/sz-benchmark/Cargo.toml
+
 echo "==> fuzz gate: differential fuzz, 2000 programs (seed base ${SZ_CONF_SEED:-default})"
 # The standing conformance gate: 2,000 generated programs through all
 # six engine/allocator configurations and both interpreters, wall-time

@@ -8,6 +8,7 @@
 //! experiment-level result). The JSON is hand-rolled — the tier-1
 //! build resolves offline with an empty registry cache, so no serde.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -149,24 +150,38 @@ impl Json {
     /// consumed, modulo surrounding whitespace). Non-negative integers
     /// without a fraction or exponent become [`Json::U64`]; every other
     /// number becomes [`Json::F64`], so values produced by
-    /// [`Json`]'s `Display` round-trip exactly.
+    /// [`Json`]'s `Display` round-trip exactly. Arrays and objects may
+    /// nest at most [`MAX_DEPTH`] deep.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonParseError`] with the byte offset of the first
     /// malformed construct.
     pub fn parse(input: &str) -> Result<Json, JsonParseError> {
-        let mut p = JsonParser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.error("trailing characters after JSON value"));
-        }
-        Ok(value)
+        JsonParser::new(input).document(None)
+    }
+
+    /// [`Json::parse`], keeping only the top-level object's fields
+    /// named in `keys` (in input order, duplicates included). Every
+    /// other value is validated exactly as [`Json::parse`] would, so
+    /// both accept the same inputs and fail with the same error, but
+    /// the dropped values are never built. A top-level value that is
+    /// not an object is returned whole.
+    ///
+    /// # Errors
+    ///
+    /// As [`Json::parse`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sz_harness::Json;
+    ///
+    /// let v = Json::parse_fields(r#"{"a":1,"big":[[2,3]],"b":"x"}"#, &["b", "a"]).unwrap();
+    /// assert_eq!(v.to_string(), r#"{"a":1,"b":"x"}"#);
+    /// ```
+    pub fn parse_fields(input: &str, keys: &[&str]) -> Result<Json, JsonParseError> {
+        JsonParser::new(input).document(Some(keys))
     }
 
     /// Looks up `key` in an object.
@@ -242,12 +257,43 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest nesting of arrays and objects the parser accepts; one more
+/// opening bracket is a [`JsonParseError`] at that bracket. Records in
+/// this repository nest at most 4 deep. The bound keeps the recursive
+/// parser's stack use small on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
+/// One recursive walker serves both [`Json::parse`] and
+/// [`Json::parse_fields`]. With `keep` false a value is checked exactly
+/// as when kept, but nothing is allocated and an empty placeholder is
+/// returned.
 struct JsonParser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
+    fn new(input: &'a str) -> JsonParser<'a> {
+        JsonParser {
+            input,
+            bytes: input.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    fn document(&mut self, fields: Option<&[&str]>) -> Result<Json, JsonParseError> {
+        self.skip_ws();
+        let value = self.value(true, fields)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing characters after JSON value"));
+        }
+        Ok(value)
+    }
+
     fn error(&self, message: &str) -> JsonParseError {
         JsonParseError {
             offset: self.pos,
@@ -283,11 +329,14 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonParseError> {
+    /// Parses one value. `fields`, when given, cuts an object at this
+    /// level down to the named keys; nested values are kept or skipped
+    /// whole.
+    fn value(&mut self, keep: bool, fields: Option<&[&str]>) -> Result<Json, JsonParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'{') => self.object(keep, fields),
+            Some(b'[') => self.array(keep),
+            Some(b'"') => Ok(Json::Str(self.string(keep)?.into_owned())),
             Some(b't') => self.eat_keyword("true", Json::Bool(true)),
             Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
             Some(b'n') => self.eat_keyword("null", Json::Null),
@@ -296,115 +345,152 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonParseError> {
-        self.eat(b'{', "expected '{'")?;
-        let mut fields = Vec::new();
+    /// Consumes the opening bracket at the cursor, counting it against
+    /// [`MAX_DEPTH`].
+    fn open(&mut self) -> Result<(), JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonParseError {
+                offset: self.pos,
+                message: format!("arrays and objects nest deeper than {MAX_DEPTH}"),
+            });
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Consumes the closing bracket at the cursor.
+    fn close(&mut self, container: Json) -> Json {
+        self.depth -= 1;
+        self.pos += 1;
+        container
+    }
+
+    fn object(&mut self, keep: bool, fields: Option<&[&str]>) -> Result<Json, JsonParseError> {
+        self.open()?;
+        let mut kept = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(self.close(Json::Obj(kept)));
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.string(keep)?;
+            let keep_value = keep && fields.is_none_or(|keys| keys.contains(&key.as_ref()));
             self.skip_ws();
             self.eat(b':', "expected ':' after object key")?;
             self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
+            let value = self.value(keep_value, None)?;
+            if keep_value {
+                kept.push((key.into_owned(), value));
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
+                Some(b'}') => return Ok(self.close(Json::Obj(kept))),
                 _ => return Err(self.error("expected ',' or '}' in object")),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonParseError> {
-        self.eat(b'[', "expected '['")?;
+    fn array(&mut self, keep: bool) -> Result<Json, JsonParseError> {
+        self.open()?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(self.close(Json::Arr(items)));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value(keep, None)?;
+            if keep {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
+                Some(b']') => return Ok(self.close(Json::Arr(items))),
                 _ => return Err(self.error("expected ',' or ']' in array")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonParseError> {
+    /// Parses a string. The text between escapes is copied a run at a
+    /// time: the delimiters (`"`, `\`, control bytes) are ASCII, so
+    /// every run of the `&str` input starts and ends on a char
+    /// boundary. An escape-free string borrows from the input; a
+    /// skipped one comes back empty.
+    fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, JsonParseError> {
         self.eat(b'"', "expected '\"'")?;
-        let mut out = String::new();
+        let input = self.input;
+        let start = self.pos;
+        let mut unescaped: Option<String> = None;
         loop {
+            let run = self.pos;
+            self.pos += self.bytes[run..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - run);
+            if let Some(out) = &mut unescaped {
+                out.push_str(&input[run..self.pos]);
+            }
             match self.peek() {
-                None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
+                    let raw = &input[start..self.pos];
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match unescaped {
+                        Some(out) => Cow::Owned(out),
+                        None if keep => Cow::Borrowed(raw),
+                        None => Cow::Borrowed(""),
+                    });
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| self.error("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let first = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: a \uXXXX low surrogate must follow.
-                                self.eat(b'\\', "expected low surrogate")?;
-                                self.eat(b'u', "expected low surrogate")?;
-                                let second = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&second) {
-                                    return Err(self.error("invalid low surrogate"));
-                                }
-                                0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                            } else {
-                                first
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid unicode escape"))?,
-                            );
-                        }
-                        _ => return Err(self.error("invalid escape character")),
+                    let before = &input[start..self.pos];
+                    let c = self.escape()?;
+                    if keep {
+                        unescaped.get_or_insert_with(|| before.to_string()).push(c);
                     }
                 }
-                Some(c) if c < 0x20 => return Err(self.error("control character in string")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar (input is &str, so boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("non-empty checked above");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(self.error("control character in string")),
+                None => return Err(self.error("unterminated string")),
             }
         }
+    }
+
+    /// Decodes the escape sequence starting at the `\` under the cursor.
+    fn escape(&mut self) -> Result<char, JsonParseError> {
+        self.pos += 1;
+        let esc = self
+            .peek()
+            .ok_or_else(|| self.error("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000c}',
+            b'u' => {
+                let first = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&first) {
+                    // High surrogate: a \uXXXX low surrogate must follow.
+                    self.eat(b'\\', "expected low surrogate")?;
+                    self.eat(b'u', "expected low surrogate")?;
+                    let second = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&second) {
+                        return Err(self.error("invalid low surrogate"));
+                    }
+                    0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+                } else {
+                    first
+                };
+                char::from_u32(code).ok_or_else(|| self.error("invalid unicode escape"))?
+            }
+            _ => return Err(self.error("invalid escape character")),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, JsonParseError> {
@@ -420,27 +506,25 @@ impl<'a> JsonParser<'a> {
 
     fn number(&mut self) -> Result<Json, JsonParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        // A plain unsigned integer that fits a u64 is accumulated
+        // straight from the bytes (trace records are mostly counters).
+        let mut value = Some(0u64);
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            value = value.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
             self.pos += 1;
         }
-        let mut fractional = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
-        if !fractional && !text.starts_with('-') {
-            if let Ok(v) = text.parse::<u64>() {
+        if self.pos > start && !matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            if let Some(v) = value {
                 return Ok(Json::U64(v));
             }
         }
+        // Anything else (a sign, a fraction, an exponent, or more than
+        // u64::MAX) is a float.
+        self.pos = start;
+        while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
+            self.pos += 1;
+        }
+        let text = &self.input[start..self.pos];
         match text.parse::<f64>() {
             Ok(v) => Ok(Json::F64(v)),
             Err(_) => Err(JsonParseError {
@@ -837,6 +921,53 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    /// 1 MiB (sz-serve's line cap) of either opener is rejected at the
+    /// first bracket past [`MAX_DEPTH`], kept or skipped, on a thread
+    /// with the 2 MiB default stack of an event-loop thread.
+    #[test]
+    fn nesting_is_bounded_on_a_small_stack() {
+        let errors = |input: String| {
+            std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || {
+                    [
+                        Json::parse(&input).unwrap_err(),
+                        Json::parse_fields(&input, &["a"]).unwrap_err(),
+                        Json::parse_fields(&input, &[]).unwrap_err(),
+                    ]
+                })
+                .unwrap()
+                .join()
+                .unwrap()
+        };
+        for (opener, input) in [
+            ("[", "[".repeat(1 << 20)),
+            (r#"{"a":"#, r#"{"a":"#.repeat((1 << 20) / 5)),
+        ] {
+            let [full, kept, skipped] = errors(input);
+            assert_eq!(full.offset, MAX_DEPTH * opener.len());
+            assert_eq!(full.message, "arrays and objects nest deeper than 128");
+            assert_eq!(kept, full);
+            assert_eq!(skipped, full);
+        }
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+    }
+
+    #[test]
+    fn parse_fields_keeps_only_the_named_top_level_keys() {
+        let line = r#"{"type":"run","periods":[{"x":"é"}],"run":3,"type":"dup"}"#;
+        let v = Json::parse_fields(line, &["type", "run"]).unwrap();
+        assert_eq!(v.to_string(), r#"{"type":"run","run":3,"type":"dup"}"#);
+        // An escaped key still matches, and a non-object comes back whole.
+        let v = Json::parse_fields("{\"r\\u0075n\":1,\"b\":2}", &["run"]).unwrap();
+        assert_eq!(v.to_string(), r#"{"run":1}"#);
+        assert_eq!(Json::parse_fields("[1,2]", &["a"]), Json::parse("[1,2]"));
+        // A skipped value is still checked.
+        let err = Json::parse_fields(r#"{"a":1,"b":"\q"}"#, &["a"]).unwrap_err();
+        assert_eq!(err, Json::parse(r#"{"a":1,"b":"\q"}"#).unwrap_err());
     }
 
     #[test]

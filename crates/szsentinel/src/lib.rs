@@ -184,7 +184,7 @@ impl Sentinel {
             if ring.len() < self.config.min_forest_samples.max(2) {
                 continue;
             }
-            let rows: Vec<Vec<f64>> = ring.iter().map(|(_, f)| f.clone()).collect();
+            let rows: Vec<&[f64]> = ring.iter().map(|(_, f)| f.as_slice()).collect();
             let scores = score_matrix(&rows, &self.config.forest);
             let mut ranked: Vec<(usize, f64)> = scores.into_iter().enumerate().collect();
             ranked.sort_by(|a, b| {

@@ -88,10 +88,22 @@ fn counter(counters: &Json, key: &str) -> f64 {
         .max(0.0)
 }
 
+/// The top-level fields [`parse_line`] reads. The rest of a record
+/// (`periods`, most of a run line's bytes) is validated and skipped.
+const FIELDS: [&str; 7] = [
+    "type",
+    "schema",
+    "benchmark",
+    "variant",
+    "run",
+    "seconds",
+    "counters",
+];
+
 /// Parses one line of a trace stream. `line_no` is 1-based and only
 /// used for error reporting.
 pub fn parse_line(line: &str, line_no: u64) -> Result<ParsedLine, StreamError> {
-    let value = Json::parse(line).map_err(|e| StreamError::Malformed {
+    let value = Json::parse_fields(line, &FIELDS).map_err(|e| StreamError::Malformed {
         line_no,
         detail: e.to_string(),
     })?;

@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sz_harness::Json;
-use sz_sentinel::{Sentinel, SentinelConfig};
+use sz_sentinel::{ParsedLine, RunSample, Sentinel, SentinelConfig};
 
 use crate::event_loop::{Completions, ConnHandler, ConnToken, EventLoops, LineOutcome, NetStats};
 use crate::exec::JobOutput;
@@ -281,24 +281,32 @@ impl ServeHandler {
     /// pushes any resulting alert lines to every watcher. Called from
     /// the settle notifier, which fires exactly once per settle —
     /// cache hits answer without settling, so no result is ever
-    /// ingested twice.
+    /// ingested twice. The trace is parsed before the `watch` lock is
+    /// taken: `stats` and `watch` take that lock on an event-loop
+    /// thread.
     fn feed_sentinel(&self, id: u64) {
         let Some(JobState::Done(output)) = self.scheduler.status(id) else {
             return;
         };
-        if output.trace.is_empty() {
+        // Server-captured traces are machine-written; a line the
+        // sentinel rejects (e.g. an embedded non-run payload) is
+        // skipped rather than poisoning the feed.
+        let samples: Vec<RunSample> = output
+            .trace
+            .lines()
+            .map(str::trim)
+            .filter_map(|line| match sz_sentinel::parse_line(line, 0) {
+                Ok(ParsedLine::Run(sample)) => Some(sample),
+                _ => None,
+            })
+            .collect();
+        if samples.is_empty() {
             return;
         }
         let mut bytes = Vec::new();
         let mut state = self.watch.lock().expect("watch state");
-        for line in output.trace.lines() {
-            // Server-captured traces are machine-written; a line the
-            // sentinel rejects (e.g. an embedded non-run payload) is
-            // skipped rather than poisoning the feed.
-            let Ok(alerts) = state.sentinel.ingest_line(line) else {
-                continue;
-            };
-            for alert in alerts {
+        for sample in &samples {
+            for alert in state.sentinel.ingest_run(sample) {
                 state.alerts_emitted += 1;
                 bytes.extend_from_slice(&render_line(&alert));
             }
@@ -644,6 +652,58 @@ mod tests {
         assert_eq!(stats.get("watchers").unwrap().as_u64(), Some(1));
         assert!(stats.get("sentinel_runs").is_some());
         assert_eq!(stats.get("sentinel_alerts").unwrap().as_u64(), Some(0));
+        handle.join().expect("server exits cleanly");
+    }
+
+    /// A request line nesting past the parser's depth limit used to
+    /// overflow the event-loop thread's stack and abort the daemon. It
+    /// now gets an `error` reply, and the same connection goes on being
+    /// served. The traced run then checks that the sentinel feed counts
+    /// every streamed run record.
+    #[test]
+    fn deeply_nested_lines_get_an_error_and_the_server_keeps_serving() {
+        let (addr, handle) = spawn_server();
+        let line_cap = 1 << 20;
+        let brackets = "[".repeat(line_cap - 1);
+        let objects = r#"{"a":"#.repeat((line_cap - 1) / 5);
+        let responses = roundtrip(
+            addr,
+            &[
+                brackets,
+                objects,
+                r#"{"type":"run","experiment":"table1","benchmarks":["bzip2"],"scale":"tiny","runs":2,"trace":true}"#
+                    .to_string(),
+            ],
+        );
+        for nested in &responses[..2] {
+            assert_eq!(nested.get("type").unwrap().as_str(), Some("error"));
+            let message = nested.get("message").unwrap().as_str().unwrap();
+            assert!(message.contains("nest deeper than 128"), "{message}");
+        }
+        let traced = &responses[2..];
+        assert_eq!(
+            traced.last().unwrap().get("type").unwrap().as_str(),
+            Some("result")
+        );
+        let runs = traced
+            .iter()
+            .filter(|r| r.get("type").and_then(Json::as_str) == Some("run"))
+            .count() as u64;
+        assert!(runs > 0, "the traced run streams its run records");
+        // The settle notifier replies before it feeds the sentinel.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let stats = roundtrip(addr, &[r#"{"type":"stats"}"#.to_string()]);
+            if stats[0].get("sentinel_runs").unwrap().as_u64() == Some(runs) {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "sentinel_runs never reached {runs}"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        roundtrip(addr, &[r#"{"type":"shutdown"}"#.to_string()]);
         handle.join().expect("server exits cleanly");
     }
 

@@ -144,7 +144,6 @@ fn effect_ci_core(
         .zip(&means_b)
         .map(|(ma, mb)| ma / mb)
         .collect();
-    ratios.sort_by(f64::total_cmp);
 
     // Symmetric order statistics, no interpolation: lo is the k-th
     // smallest and hi the k-th largest ratio, so swapping the arms
@@ -152,11 +151,19 @@ fn effect_ci_core(
     let alpha = 1.0 - confidence;
     let k = ((alpha / 2.0) * resamples as f64).floor() as usize;
     let k = k.min((resamples - 1) / 2);
+    // Two selections instead of a sort. Under the total order equal
+    // ratios are equal bits, so both bounds are exactly the sorted
+    // values. The first selection leaves every larger ratio above k.
+    let (_, &mut lo, above) = ratios.select_nth_unstable_by(k, f64::total_cmp);
+    let hi = match (resamples - 1 - k).checked_sub(k + 1) {
+        Some(rank) => *above.select_nth_unstable_by(rank, f64::total_cmp).1,
+        None => lo,
+    };
 
     Ok(EffectCi {
         ratio: grand_mean(a) / grand_mean(b),
-        lo: ratios[k],
-        hi: ratios[resamples - 1 - k],
+        lo,
+        hi,
         confidence,
         resamples,
         seed,
@@ -379,6 +386,67 @@ mod tests {
         let ci = effect_ci(&a, &b, 0.95, 500, 2).unwrap();
         let expected = (ci.hi - ci.lo) / (2.0 * ci.ratio);
         assert_eq!(ci.relative_half_width(), expected);
+    }
+
+    /// Seeded arms of 7 and 6 values; with `ties`, each value is one of
+    /// three levels, so many resampled ratios coincide.
+    fn pinned_arms(ties: bool) -> (Vec<f64>, Vec<f64>) {
+        let mut rng = SplitMix64::new(if ties { 0x71E5 } else { 0xB175 });
+        let mut draw = |n: usize, base: f64| -> Vec<f64> {
+            (0..n)
+                .map(|_| {
+                    if ties {
+                        base + rng.below(3) as f64
+                    } else {
+                        base + rng.next_f64()
+                    }
+                })
+                .collect()
+        };
+        (draw(7, 10.0), draw(6, 9.0))
+    }
+
+    /// The golden file compares at 1e-9; these pins catch any drift in
+    /// the low bits of the bounds. They were recorded when the bounds
+    /// were read off a fully sorted copy of the ratios.
+    #[test]
+    fn bounds_are_bit_pinned() {
+        const PINS: [(u64, u64); 18] = [
+            (0x3ff18df92468ecf0, 0x3ff1c2ddd3d37113),
+            (0x3ff18df92468ecf0, 0x3ff1c2ddd3d37113),
+            (0x3ff18df92468ecf0, 0x3ff1c2ddd3d37113),
+            (0x3ff1c2ddd3d37113, 0x3ff1c2ddd3d37113),
+            (0x3ff18df92468ecf0, 0x3ff228435e12269d),
+            (0x3ff18df92468ecf0, 0x3ff228435e12269d),
+            (0x3ff1aa1a0b588b55, 0x3ff1cf52845b0522),
+            (0x3ff19013d581838c, 0x3ff1ee6e4e548c23),
+            (0x3ff13b933e849e05, 0x3ff256ec56d80c61),
+            (0x3ff1249249249249, 0x3ff1f86ef9b1d015),
+            (0x3ff1249249249249, 0x3ff1f86ef9b1d015),
+            (0x3ff1249249249249, 0x3ff1f86ef9b1d015),
+            (0x3ff1bbe6c74050b6, 0x3ff1bbe6c74050b6),
+            (0x3ff1249249249249, 0x3ff1f86ef9b1d015),
+            (0x3ff1249249249249, 0x3ff1f86ef9b1d015),
+            (0x3ff13372ac51d221, 0x3ff1aa75c5bbd0e4),
+            (0x3ff0dca0acaa4459, 0x3ff20b8c82e320b8),
+            (0x3fefda3fb47f68ff, 0x3ff3333333333334),
+        ];
+        let mut pins = PINS.iter();
+        for ties in [false, true] {
+            let (a, b) = pinned_arms(ties);
+            // Confidence 0.2 with 3 resamples selects the median for
+            // both bounds (k == resamples - 1 - k).
+            for resamples in [2, 3, 1000] {
+                for confidence in [0.2, 0.5, 0.95] {
+                    let ci = effect_ci(&a, &b, confidence, resamples, 0x5EED_B007).unwrap();
+                    assert_eq!(
+                        (ci.lo.to_bits(), ci.hi.to_bits()),
+                        *pins.next().unwrap(),
+                        "ties {ties}, {resamples} resamples, confidence {confidence}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
