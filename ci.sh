@@ -28,6 +28,13 @@ echo "==> sz-benchmark tests: every workload at tiny sizes, outputs checked"
 # byte-identical, traced and untraced digests agree.
 cargo test -q --release --offline --manifest-path src/bin/sz-benchmark/Cargo.toml
 
+echo "==> sz-benchmark lints: cargo fmt --check, cargo clippy -D warnings"
+# The workspace lint steps above never see this package either, so a
+# crate API change would otherwise go unlinted where the benchmark
+# calls it.
+cargo fmt --check --manifest-path src/bin/sz-benchmark/Cargo.toml
+cargo clippy --offline --manifest-path src/bin/sz-benchmark/Cargo.toml --all-targets -- -D warnings
+
 echo "==> fuzz gate: differential fuzz, 2000 programs (seed base ${SZ_CONF_SEED:-default})"
 # The standing conformance gate: 2,000 generated programs through all
 # six engine/allocator configurations and both interpreters, wall-time

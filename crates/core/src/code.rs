@@ -1,8 +1,6 @@
 //! Code randomization: trap → relocate → re-randomize → collect
 //! (§3.3, Figure 3).
 
-use std::collections::HashSet;
-
 use sz_heap::{Allocator, Region, SegregatedAllocator, ShuffleLayer};
 use sz_ir::{FuncId, Instr, Program};
 use sz_machine::MemorySystem;
@@ -26,6 +24,8 @@ const HIGH_CODE_SIZE: u64 = 1 << 36;
 /// Per-function relocation state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CopyState {
+    /// The function never moves: the conversion helpers (§3.3).
+    Fixed,
     /// The function's entry is a trap; the next call relocates it.
     Trapped,
     /// A live randomized copy exists.
@@ -63,11 +63,12 @@ pub struct CodeRandomizer {
     table_entries: Vec<u64>,
     /// The linker's (trap-site) address, per function.
     originals: Vec<u64>,
-    non_relocatable: HashSet<u32>,
     low: ShuffleLayer<SegregatedAllocator, Marsaglia>,
     high: SegregatedAllocator,
     /// Old copies not yet proven dead: `(address, far)`.
     pile: Vec<(u64, bool)>,
+    /// The collector's mark set, sorted; kept to reuse its allocation.
+    marked: Vec<u64>,
     stats: CodeStats,
 }
 
@@ -95,12 +96,16 @@ impl CodeRandomizer {
             alloc_sizes.push(f.code_size() + entries * 8);
         }
 
+        let mut state = vec![CopyState::Trapped; program.functions.len()];
+        for helper in &info.helpers {
+            state[helper.0 as usize] = CopyState::Fixed;
+        }
+
         CodeRandomizer {
-            state: vec![CopyState::Trapped; program.functions.len()],
+            state,
             alloc_sizes,
             table_entries,
             originals,
-            non_relocatable: info.helpers.iter().map(|f| f.0).collect(),
             low: ShuffleLayer::new(
                 SegregatedAllocator::new(Region::new(LOW_CODE_BASE, LOW_CODE_SIZE)),
                 shuffle_n,
@@ -108,6 +113,7 @@ impl CodeRandomizer {
             ),
             high: SegregatedAllocator::new(Region::new(HIGH_CODE_BASE, HIGH_CODE_SIZE)),
             pile: Vec::new(),
+            marked: Vec::new(),
             stats: CodeStats::default(),
         }
     }
@@ -126,10 +132,8 @@ impl CodeRandomizer {
     /// runtime work to `mem`. Returns the code base to execute from.
     pub fn enter(&mut self, func: FuncId, mem: &mut MemorySystem) -> u64 {
         let idx = func.0 as usize;
-        if self.non_relocatable.contains(&func.0) {
-            return self.originals[idx];
-        }
         match self.state[idx] {
+            CopyState::Fixed => self.originals[idx],
             CopyState::Live { addr, far } => {
                 if far {
                     self.stats.far_calls += 1;
@@ -184,24 +188,24 @@ impl CodeRandomizer {
         }
         // Mark: addresses with a return address (frame) pointing at them.
         mem.charge(stack.len() as u64 * costs::GC_FRAME_CYCLES);
-        let marked: HashSet<u64> = stack.iter().map(|f| f.code_base).collect();
-        // Sweep the pile.
-        let mut kept = Vec::new();
-        for (addr, far) in std::mem::take(&mut self.pile) {
+        self.marked.clear();
+        self.marked.extend(stack.iter().map(|f| f.code_base));
+        self.marked.sort_unstable();
+        // Sweep the pile, in pile order.
+        self.pile.retain(|&(addr, far)| {
             mem.charge(costs::GC_PILE_CYCLES);
-            if marked.contains(&addr) {
+            if self.marked.binary_search(&addr).is_ok() {
                 self.stats.copies_kept += 1;
-                kept.push((addr, far));
-            } else {
-                self.stats.copies_freed += 1;
-                if far {
-                    self.high.free(addr);
-                } else {
-                    self.low.free(addr);
-                }
+                return true;
             }
-        }
-        self.pile = kept;
+            self.stats.copies_freed += 1;
+            if far {
+                self.high.free(addr);
+            } else {
+                self.low.free(addr);
+            }
+            false
+        });
     }
 
     /// Number of old copies awaiting collection.
@@ -213,22 +217,22 @@ impl CodeRandomizer {
 /// Relocation-table entries a function needs: one per distinct callee
 /// plus one per distinct global it references (§3.3, Figure 3b).
 fn relocation_entries(f: &sz_ir::Function) -> u64 {
-    let mut callees = HashSet::new();
-    let mut globals = HashSet::new();
-    for b in &f.blocks {
-        for i in &b.instrs {
-            match i {
-                Instr::Call { func, .. } => {
-                    callees.insert(func.0);
-                }
-                Instr::LoadGlobal { global, .. } | Instr::StoreGlobal { global, .. } => {
-                    globals.insert(global.0);
-                }
-                _ => {}
+    // Callees and globals share one id space, globals above 2^32.
+    let mut targets: Vec<u64> = f
+        .blocks
+        .iter()
+        .flat_map(|b| &b.instrs)
+        .filter_map(|i| match i {
+            Instr::Call { func, .. } => Some(u64::from(func.0)),
+            Instr::LoadGlobal { global, .. } | Instr::StoreGlobal { global, .. } => {
+                Some(1 << 32 | u64::from(global.0))
             }
-        }
-    }
-    (callees.len() + globals.len()) as u64
+            _ => None,
+        })
+        .collect();
+    targets.sort_unstable();
+    targets.dedup();
+    targets.len() as u64
 }
 
 #[cfg(test)]

@@ -39,7 +39,7 @@ pub struct StackRandomizer {
 impl StackRandomizer {
     /// Creates tables for every function in `program`, filled from
     /// `rng`.
-    pub fn new(program: &Program, rng: &mut dyn Rng) -> Self {
+    pub fn new<R: Rng + ?Sized>(program: &Program, rng: &mut R) -> Self {
         let n = program.functions.len();
         let mut s = StackRandomizer {
             tables: vec![[0u8; PAD_TABLE_SIZE]; n],
@@ -51,7 +51,7 @@ impl StackRandomizer {
         s
     }
 
-    fn fill(&mut self, rng: &mut dyn Rng) {
+    fn fill<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         for table in &mut self.tables {
             for b in table.iter_mut() {
                 *b = (rng.next_u32() & 0xFF) as u8;
@@ -78,7 +78,7 @@ impl StackRandomizer {
 
     /// Refills every table with fresh random bytes (the runtime does
     /// this during each re-randomization, §3.4).
-    pub fn refill(&mut self, rng: &mut dyn Rng, mem: &mut MemorySystem) {
+    pub fn refill<R: Rng + ?Sized>(&mut self, rng: &mut R, mem: &mut MemorySystem) {
         self.fill(rng);
         self.refills += 1;
         // The runtime's writes touch every line of every table.

@@ -9,7 +9,7 @@
 //! build resolves offline with an empty registry cache, so no serde.
 
 use std::borrow::Cow;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
@@ -577,30 +577,15 @@ impl fmt::Display for Json {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::U64(v) => write!(f, "{v}"),
-            Json::F64(v) if v.is_finite() => write!(f, "{v}"),
-            Json::F64(_) => f.write_str("null"),
-            Json::Str(s) => {
-                f.write_str("\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => f.write_str("\\\"")?,
-                        '\\' => f.write_str("\\\\")?,
-                        '\n' => f.write_str("\\n")?,
-                        '\r' => f.write_str("\\r")?,
-                        '\t' => f.write_str("\\t")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => f.write_fmt(format_args!("{c}"))?,
-                    }
-                }
-                f.write_str("\"")
-            }
+            Json::F64(v) => write_f64(f, *v),
+            Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    item.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -610,7 +595,9 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{}:{v}", Json::Str(k.clone()))?;
+                    write_escaped(f, k)?;
+                    f.write_str(":")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }
@@ -618,20 +605,64 @@ impl fmt::Display for Json {
     }
 }
 
-/// Serializes one [`PerfCounters`] as a JSON object.
-fn counters_json(c: &PerfCounters) -> Json {
-    Json::obj([
-        ("instructions", c.instructions.into()),
-        ("cycles", c.cycles.into()),
-        ("l1i_misses", c.l1i_misses.into()),
-        ("l1d_misses", c.l1d_misses.into()),
-        ("l2_misses", c.l2_misses.into()),
-        ("l3_misses", c.l3_misses.into()),
-        ("itlb_misses", c.itlb_misses.into()),
-        ("dtlb_misses", c.dtlb_misses.into()),
-        ("branches", c.branches.into()),
-        ("branch_mispredicts", c.branch_mispredicts.into()),
-    ])
+/// Writes a float the way [`Json::F64`] prints: `{}` when finite (so
+/// `-0.0` prints as `-0`), `null` otherwise.
+fn write_f64(out: &mut impl fmt::Write, v: f64) -> fmt::Result {
+    if v.is_finite() {
+        write!(out, "{v}")
+    } else {
+        out.write_str("null")
+    }
+}
+
+/// Writes `s` as a JSON string literal. Each run of characters that
+/// needs no escape goes out in one `write_str`; the characters that do
+/// are all ASCII, so every run ends on a char boundary.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_str("\"")?;
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if short.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(short)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_str("\"")
+}
+
+/// Appends one [`PerfCounters`] as a JSON object.
+fn push_counters(out: &mut String, c: &PerfCounters) {
+    let _ = write!(
+        out,
+        concat!(
+            r#"{{"instructions":{},"cycles":{},"l1i_misses":{},"l1d_misses":{},"#,
+            r#""l2_misses":{},"l3_misses":{},"itlb_misses":{},"dtlb_misses":{},"#,
+            r#""branches":{},"branch_mispredicts":{}}}"#,
+        ),
+        c.instructions,
+        c.cycles,
+        c.l1i_misses,
+        c.l1d_misses,
+        c.l2_misses,
+        c.l3_misses,
+        c.itlb_misses,
+        c.dtlb_misses,
+        c.branches,
+        c.branch_mispredicts,
+    );
 }
 
 /// A thread-safe JSONL trace writer shared by every experiment.
@@ -721,11 +752,21 @@ impl TraceSink {
 
     /// Writes one record (a single line).
     pub fn record(&self, value: &Json) {
-        let mut out = self.out.lock().expect("trace sink lock");
-        writeln!(out, "{value}").expect("trace writes succeed");
+        let mut line = value.to_string();
+        line.push('\n');
+        self.write_line(&line);
     }
 
-    /// Emits a `run` record for one benchmark execution.
+    /// Hands one finished line to the writer in a single call.
+    fn write_line(&self, line: &str) {
+        let mut out = self.out.lock().expect("trace sink lock");
+        out.write_all(line.as_bytes())
+            .expect("trace writes succeed");
+    }
+
+    /// Emits a `run` record for one benchmark execution. The text is
+    /// written straight into one line, byte for byte what [`Json`]'s
+    /// `Display` prints for the same fields in the same order.
     pub fn run_record(
         &self,
         experiment: &str,
@@ -734,29 +775,34 @@ impl TraceSink {
         run: usize,
         report: &RunReport,
     ) {
-        let periods: Vec<Json> = report
-            .periods
-            .iter()
-            .map(|p| {
-                Json::obj([
-                    ("index", p.index.into()),
-                    ("start_cycles", p.start_cycles.into()),
-                    ("end_cycles", p.end_cycles.into()),
-                    ("counters", counters_json(&p.counters)),
-                ])
-            })
-            .collect();
-        self.record(&Json::obj([
-            ("type", "run".into()),
-            ("experiment", experiment.into()),
-            ("benchmark", benchmark.into()),
-            ("variant", variant.into()),
-            ("run", run.into()),
-            ("engine", report.engine.as_str().into()),
-            ("seconds", report.seconds().into()),
-            ("counters", counters_json(&report.counters)),
-            ("periods", Json::Arr(periods)),
-        ]));
+        let mut line = String::with_capacity(400 + 240 * report.periods.len());
+        line.push_str(r#"{"type":"run","experiment":"#);
+        let _ = write_escaped(&mut line, experiment);
+        line.push_str(r#","benchmark":"#);
+        let _ = write_escaped(&mut line, benchmark);
+        line.push_str(r#","variant":"#);
+        let _ = write_escaped(&mut line, variant);
+        let _ = write!(line, r#","run":{run},"engine":"#);
+        let _ = write_escaped(&mut line, &report.engine);
+        line.push_str(r#","seconds":"#);
+        let _ = write_f64(&mut line, report.seconds());
+        line.push_str(r#","counters":"#);
+        push_counters(&mut line, &report.counters);
+        line.push_str(r#","periods":["#);
+        for (i, p) in report.periods.iter().enumerate() {
+            if i > 0 {
+                line.push(',');
+            }
+            let _ = write!(
+                line,
+                r#"{{"index":{},"start_cycles":{},"end_cycles":{},"counters":"#,
+                p.index, p.start_cycles, p.end_cycles
+            );
+            push_counters(&mut line, &p.counters);
+            line.push('}');
+        }
+        line.push_str("]}\n");
+        self.write_line(&line);
     }
 
     /// Emits a `summary` record with experiment-specific fields.

@@ -70,7 +70,7 @@ impl DieHardAllocator {
             return Some(());
         }
         let slots = capacity.max(INITIAL_SLOTS);
-        let base = self.region.carve(slots * class, class)?;
+        let base = self.region.carve(slots.checked_mul(class)?, class)?;
         self.heaps[k].push(MiniHeap {
             base,
             slots,
@@ -84,7 +84,7 @@ impl DieHardAllocator {
 impl Allocator for DieHardAllocator {
     fn malloc(&mut self, size: u64) -> Option<u64> {
         assert!(size > 0, "zero-size allocation");
-        let class = size_class(size, MIN_CLASS);
+        let class = size_class(size, MIN_CLASS)?;
         let k = class.trailing_zeros() as usize;
         self.ensure_capacity(k, class)?;
 
@@ -119,7 +119,7 @@ impl Allocator for DieHardAllocator {
             return false;
         };
         self.live_bytes -= size;
-        let class = size_class(size, MIN_CLASS);
+        let class = size_class(size, MIN_CLASS).expect("a live size has a class");
         let k = class.trailing_zeros() as usize;
         let heap = self.heaps[k]
             .iter_mut()

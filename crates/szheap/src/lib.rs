@@ -87,9 +87,10 @@ pub trait Allocator {
 }
 
 /// Rounds `size` up to the next power of two, with a floor of
-/// `min_class` bytes.
-pub(crate) fn size_class(size: u64, min_class: u64) -> u64 {
-    size.max(min_class).next_power_of_two()
+/// `min_class` bytes; `None` when that exceeds `u64::MAX` (a request
+/// above 2^63 bytes, which no region can hold).
+pub(crate) fn size_class(size: u64, min_class: u64) -> Option<u64> {
+    size.max(min_class).checked_next_power_of_two()
 }
 
 #[cfg(test)]
@@ -174,10 +175,23 @@ mod tests {
     }
 
     #[test]
+    fn oversized_requests_are_none_not_panic() {
+        for mut a in implementations() {
+            for size in [u64::MAX, u64::MAX - 8, (1 << 63) + 1] {
+                assert_eq!(a.malloc(size), None, "{}: size {size:#x}", a.name());
+            }
+            assert_eq!(a.live_bytes(), 0, "{}", a.name());
+            assert!(a.malloc(64).is_some(), "{} still serves", a.name());
+        }
+    }
+
+    #[test]
     fn size_class_rounding() {
-        assert_eq!(size_class(1, 16), 16);
-        assert_eq!(size_class(16, 16), 16);
-        assert_eq!(size_class(17, 16), 32);
-        assert_eq!(size_class(4097, 16), 8192);
+        assert_eq!(size_class(1, 16), Some(16));
+        assert_eq!(size_class(16, 16), Some(16));
+        assert_eq!(size_class(17, 16), Some(32));
+        assert_eq!(size_class(4097, 16), Some(8192));
+        assert_eq!(size_class(1 << 63, 16), Some(1 << 63));
+        assert_eq!(size_class((1 << 63) + 1, 16), None);
     }
 }

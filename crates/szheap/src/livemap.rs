@@ -1,10 +1,12 @@
-//! An open-addressed live-allocation table for the shuffling layer.
+//! An open-addressed live-allocation table for the shuffling layer and
+//! the segregated base allocator.
 //!
-//! [`crate::ShuffleLayer`] must remember the requested size of every
-//! address it has handed out so `free` can route the object back to
-//! its size class. A `HashMap<u64, u64>` does the job but pays SipHash
-//! plus bucket indirection on *every* malloc and free — the two
-//! operations STABILIZER's shuffling adds to each heap call. This
+//! [`crate::ShuffleLayer`] and [`crate::SegregatedAllocator`] must
+//! remember the requested size of every address they have handed out
+//! so `free` can route the object back to its size class. A
+//! `HashMap<u64, u64>` does the job but pays SipHash plus bucket
+//! indirection on *every* malloc and free — the two operations
+//! STABILIZER's shuffling adds to each heap call. This
 //! table exploits what the generic map cannot: keys are size-class-
 //! aligned simulated addresses (the base allocators align every block
 //! to its power-of-two class, 16 bytes minimum), so a single

@@ -1,8 +1,6 @@
 //! The power-of-two, size-segregated base allocator (§3.2).
 
-use std::collections::HashMap;
-
-use crate::{size_class, Allocator, Region};
+use crate::{size_class, Allocator, LiveMap, Region};
 
 /// Smallest size class in bytes (also the alignment guarantee).
 const MIN_CLASS: u64 = 16;
@@ -18,10 +16,10 @@ pub struct SegregatedAllocator {
     region: Region,
     /// Free list per class exponent (`free[k]` holds blocks of `2^k`).
     free: Vec<Vec<u64>>,
-    /// Size class of every block ever carved, live or free.
-    class_of: HashMap<u64, u64>,
-    /// Requested (not rounded) size of live allocations.
-    live: HashMap<u64, u64>,
+    /// Requested (not rounded) size of live allocations. A live
+    /// block's class is `class_for` of that size. Blocks are
+    /// class-aligned, the key shape [`LiveMap`] hashes well.
+    live: LiveMap,
     live_bytes: u64,
 }
 
@@ -31,14 +29,13 @@ impl SegregatedAllocator {
         SegregatedAllocator {
             region,
             free: vec![Vec::new(); 64],
-            class_of: HashMap::new(),
-            live: HashMap::new(),
+            live: LiveMap::new(),
             live_bytes: 0,
         }
     }
 
-    /// Internal-use size class for a request.
-    pub fn class_for(size: u64) -> u64 {
+    /// Internal-use size class for a request; `None` above 2^63 bytes.
+    pub fn class_for(size: u64) -> Option<u64> {
         size_class(size, MIN_CLASS)
     }
 }
@@ -46,18 +43,14 @@ impl SegregatedAllocator {
 impl Allocator for SegregatedAllocator {
     fn malloc(&mut self, size: u64) -> Option<u64> {
         assert!(size > 0, "zero-size allocation");
-        let class = Self::class_for(size);
+        let class = Self::class_for(size)?;
         let k = class.trailing_zeros() as usize;
         let addr = match self.free[k].pop() {
             Some(a) => a,
-            None => {
-                // Natural alignment: blocks of 2^k are 2^k-aligned, so
-                // the low bits of every address in a class are zero —
-                // the address-entropy structure §3.2 discusses.
-                let a = self.region.carve(class, class)?;
-                self.class_of.insert(a, class);
-                a
-            }
+            // Natural alignment: blocks of 2^k are 2^k-aligned, so the
+            // low bits of every address in a class are zero — the
+            // address-entropy structure §3.2 discusses.
+            None => self.region.carve(class, class)?,
         };
         self.live.insert(addr, size);
         self.live_bytes += size;
@@ -69,11 +62,11 @@ impl Allocator for SegregatedAllocator {
     }
 
     fn try_free(&mut self, addr: u64) -> bool {
-        let Some(size) = self.live.remove(&addr) else {
+        let Some(size) = self.live.remove(addr) else {
             return false;
         };
         self.live_bytes -= size;
-        let class = self.class_of[&addr];
+        let class = Self::class_for(size).expect("a live size has a class");
         self.free[class.trailing_zeros() as usize].push(addr);
         true
     }
@@ -110,7 +103,7 @@ mod tests {
     fn classes_are_naturally_aligned() {
         let mut a = alloc();
         for size in [1u64, 17, 33, 100, 1000, 5000] {
-            let class = SegregatedAllocator::class_for(size);
+            let class = SegregatedAllocator::class_for(size).unwrap();
             let p = a.malloc(size).unwrap();
             assert_eq!(p % class, 0, "size {size} (class {class})");
         }

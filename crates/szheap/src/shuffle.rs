@@ -95,7 +95,7 @@ impl<A: Allocator, R: Rng> Allocator for ShuffleLayer<A, R> {
     fn malloc(&mut self, size: u64) -> Option<u64> {
         // C's `malloc(0)` is legal and must return a unique pointer;
         // `size_class` rounds the request up to the minimum class.
-        let class = size_class(size, MIN_CLASS);
+        let class = size_class(size, MIN_CLASS)?;
         let k = class.trailing_zeros() as usize;
         self.ensure_array(k, class)?;
         // One inside-out Fisher-Yates step: new object in, random
@@ -118,7 +118,7 @@ impl<A: Allocator, R: Rng> Allocator for ShuffleLayer<A, R> {
             return false;
         };
         self.live_bytes -= size;
-        let class = size_class(size, MIN_CLASS);
+        let class = size_class(size, MIN_CLASS).expect("a live size has a class");
         let k = class.trailing_zeros() as usize;
         // The mirror step: freed object in, random object out to the
         // base heap.

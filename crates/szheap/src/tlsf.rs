@@ -114,15 +114,17 @@ impl TlsfAllocator {
         Some(())
     }
 
-    fn round(size: u64) -> u64 {
-        size.div_ceil(MIN_BLOCK) * MIN_BLOCK
+    /// `size` rounded up to whole minimum blocks; `None` when that
+    /// exceeds `u64::MAX`.
+    fn round(size: u64) -> Option<u64> {
+        size.div_ceil(MIN_BLOCK).checked_mul(MIN_BLOCK)
     }
 }
 
 impl Allocator for TlsfAllocator {
     fn malloc(&mut self, size: u64) -> Option<u64> {
         assert!(size > 0, "zero-size allocation");
-        let need = Self::round(size);
+        let need = Self::round(size)?;
         let addr = match self.find_block(need) {
             Some(a) => a,
             None => {

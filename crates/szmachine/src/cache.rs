@@ -33,6 +33,8 @@ pub struct Cache {
     config: CacheConfig,
     line_shift: u32,
     set_mask: u64,
+    /// `log2(sets)`: a line index shifted right by it is the tag.
+    set_bits: u32,
     /// All sets in one flat preallocated slot array (see `lru.rs`).
     sets: LruSets,
     hits: u64,
@@ -61,6 +63,7 @@ impl Cache {
             config,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             sets: LruSets::new(sets as usize, config.ways as usize),
             hits: 0,
             misses: 0,
@@ -80,7 +83,7 @@ impl Cache {
 
     #[inline]
     fn tag(&self, addr: u64) -> u64 {
-        addr >> self.line_shift >> self.set_mask.count_ones()
+        addr >> self.line_shift >> self.set_bits
     }
 
     /// Accesses the line containing `addr`; returns `true` on a hit.
@@ -97,7 +100,7 @@ impl Cache {
     #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
         let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
+        let tag = line >> self.set_bits;
         if self.sets.access(set, tag) {
             self.hits += 1;
             true
@@ -127,9 +130,10 @@ impl Cache {
     }
 
     /// Test support: whether two caches hold bit-identical replacement
-    /// state (keys, age stamps, and the access clock), ignoring the
-    /// hit/miss statistics. The MRU-idempotence property tests use this
-    /// to prove certain re-accesses cannot perturb future behaviour.
+    /// state (keys, age stamps, MRU ways and the access clock),
+    /// ignoring the hit/miss statistics. The MRU-idempotence property
+    /// tests use this to prove certain re-accesses cannot perturb
+    /// future behaviour.
     #[doc(hidden)]
     pub fn replacement_state_eq(&self, other: &Cache) -> bool {
         self.sets == other.sets

@@ -18,19 +18,39 @@
 //! way). The differential test `tests/differential_lru.rs` pins this
 //! equivalence against a naive MRU-list model over randomized
 //! geometries and access streams.
+//!
+//! Two invariants keep the probe short:
+//!
+//! - **Live slots form a prefix of their set.** A miss fills the first
+//!   minimum-stamp slot, which is the first empty one while any is
+//!   empty, and stamps return to 0 only on [`LruSets::reset`]. So a
+//!   probe compares keys alone and reads the stamp only on a match: a
+//!   match in an empty slot (a key left over from before a reset) means
+//!   no live slot holds the key.
+//! - **Each set remembers its MRU way**, the way holding its newest
+//!   stamp. A hit there changes nothing at all. Victim choice depends
+//!   only on the order of stamps inside a set, and refreshing the
+//!   newest one cannot change that order, so skipping the refresh is
+//!   exact in everything the cache can show: hits, misses, residency
+//!   and future victims. Only the internal stamps and clock differ
+//!   from a model that refreshes on every hit.
 
 /// Flat set-associative LRU state: `sets * ways` slots, no per-access
 /// heap traffic.
 ///
 /// `PartialEq` compares the complete replacement state (keys, stamps,
-/// clock) — the idempotence tests below use it to prove that certain
-/// re-accesses are literal no-ops.
+/// MRU ways, clock) — the idempotence tests below use it to prove that
+/// certain re-accesses are literal no-ops.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LruSets {
-    /// Slot keys, set-major (`keys[set * ways + way]`).
+    /// Slot keys, set-major (`keys[set * ways + way]`). Zero-filled:
+    /// emptiness is carried by the stamp, and a sentinel fill would
+    /// write the whole slab on every construction.
     keys: Box<[u64]>,
     /// Age stamps parallel to `keys`; 0 = empty slot.
     stamps: Box<[u64]>,
+    /// Per set, the way holding the set's newest stamp.
+    mru: Box<[u8]>,
     ways: usize,
     /// Monotonic access clock; pre-incremented, so live stamps are ≥ 1.
     clock: u64,
@@ -39,10 +59,12 @@ pub(crate) struct LruSets {
 impl LruSets {
     /// Allocates an empty array of `sets * ways` slots.
     pub(crate) fn new(sets: usize, ways: usize) -> Self {
+        assert!(ways <= 256, "an MRU way index must fit a byte");
         let slots = sets.checked_mul(ways).expect("geometry fits in memory");
         LruSets {
             keys: vec![0; slots].into_boxed_slice(),
             stamps: vec![0; slots].into_boxed_slice(),
+            mru: vec![0; sets].into_boxed_slice(),
             ways,
             clock: 0,
         }
@@ -52,35 +74,44 @@ impl LruSets {
     /// miss, installs `key` over the empty or least-recently-used
     /// slot. Returns `true` on a hit.
     ///
-    /// Re-accessing the globally most recent slot (`stamp == clock`) is
-    /// a *literal* no-op: the slot is already the maximum of its set,
-    /// so refreshing its stamp cannot change any future victim choice,
-    /// and skipping the clock bump keeps the state bit-identical to
-    /// not having accessed at all. This is the invariant the
-    /// front-end memoization in `mem.rs` relies on.
+    /// A hit on the set's MRU way is a *literal* no-op (see the module
+    /// docs). That covers re-accessing the globally most recent slot,
+    /// the invariant the front-end memoization in `mem.rs` relies on.
     #[inline]
     pub(crate) fn access(&mut self, set: usize, key: u64) -> bool {
         let base = set * self.ways;
+        let newest = base + usize::from(self.mru[set]);
+        if self.keys[newest] == key && self.stamps[newest] != 0 {
+            return true;
+        }
         let keys = &mut self.keys[base..base + self.ways];
         let stamps = &mut self.stamps[base..base + self.ways];
-        let mut victim = 0usize;
-        let mut victim_stamp = u64::MAX;
-        for ((i, k), &s) in keys.iter().enumerate().zip(stamps.iter()) {
-            if s != 0 && *k == key {
-                if s != self.clock {
-                    self.clock += 1;
-                    stamps[i] = self.clock;
-                }
+        let way = match keys.iter().position(|&k| k == key) {
+            Some(i) if stamps[i] != 0 => {
+                self.clock += 1;
+                stamps[i] = self.clock;
+                self.mru[set] = i as u8;
                 return true;
             }
-            if s < victim_stamp {
-                victim_stamp = s;
-                victim = i;
+            // Missed: fill the first minimum-stamp slot, which is the
+            // first empty one if any is empty.
+            _ => {
+                let (mut victim, mut oldest) = (0, u64::MAX);
+                for (i, &s) in stamps.iter().enumerate() {
+                    if s < oldest {
+                        (victim, oldest) = (i, s);
+                        if s == 0 {
+                            break;
+                        }
+                    }
+                }
+                victim
             }
-        }
+        };
         self.clock += 1;
-        keys[victim] = key;
-        stamps[victim] = self.clock;
+        keys[way] = key;
+        stamps[way] = self.clock;
+        self.mru[set] = way as u8;
         false
     }
 
@@ -94,9 +125,11 @@ impl LruSets {
             .any(|(&k, &s)| s != 0 && k == key)
     }
 
-    /// Empties every set and rewinds the clock.
+    /// Empties every set and rewinds the clock. Keys stay as they are:
+    /// a zero stamp marks a slot empty.
     pub(crate) fn reset(&mut self) {
         self.stamps.fill(0);
+        self.mru.fill(0);
         self.clock = 0;
     }
 }
@@ -192,6 +225,37 @@ mod tests {
             assert!(l.contains(0, 2));
             assert!(l.contains(0, 3));
         }
+    }
+
+    #[test]
+    fn a_sets_mru_way_hits_without_any_state_change() {
+        let mut l = LruSets::new(2, 2);
+        l.access(0, 1);
+        l.access(0, 2); // set 0 MRU = 2
+        l.access(1, 7); // the clock moves past set 0
+        let before = l.clone();
+        assert!(l.access(0, 2));
+        assert_eq!(l, before, "not the newest slot overall, still a no-op");
+    }
+
+    #[test]
+    fn keys_left_over_from_before_a_reset_are_misses() {
+        let mut l = LruSets::new(1, 3);
+        for k in [4, 5, 6] {
+            l.access(0, k);
+        }
+        l.reset();
+        // Key 5 still sits in way 1, but its slot is empty: a miss that
+        // fills way 0, keeping the live slots a prefix.
+        assert!(!l.access(0, 5));
+        assert!(!l.access(0, 6));
+        assert!(l.access(0, 5));
+        assert!(l.access(0, 6));
+        assert!(!l.contains(0, 4));
+        assert!(!l.access(0, 4), "way 2 fills last");
+        assert!(!l.access(0, 9), "a full set evicts its LRU key, 5");
+        assert!(!l.contains(0, 5));
+        assert!(l.contains(0, 6) && l.contains(0, 4) && l.contains(0, 9));
     }
 
     #[test]

@@ -29,11 +29,11 @@ const NO_MEMO: u64 = u64::MAX;
 /// a different line, any relocation/re-randomization that moves code,
 /// or any set-conflicting fetch simply *updates* the memo on its own
 /// (non-skipped) probe — there is no separate invalidation path to get
-/// wrong. The D side keeps its own independent one-line memo in
-/// [`MemorySystem::data_access`] under the same MRU argument (a skipped
-/// re-probe still charges the L1D hit latency — only the probes are
-/// elided, never the cycles); I-side traffic probes the iTLB/L1I, so
-/// neither memo can alias the other.
+/// wrong. The D side keeps its own independent one-line and one-page
+/// memos in [`MemorySystem::data_access`] under the same MRU argument
+/// (a skipped re-probe still charges the L1D hit latency — only the
+/// probes are elided, never the cycles); I-side traffic probes the
+/// iTLB/L1I, so neither side's memo can alias the other's.
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     config: MachineConfig,
@@ -63,6 +63,8 @@ pub struct MemorySystem {
     /// Line index of the most recent load/store ([`NO_MEMO`] when
     /// cold).
     last_dline: u64,
+    /// Page index of the most recently translated D-page.
+    last_dpage: u64,
 }
 
 impl MemorySystem {
@@ -100,6 +102,7 @@ impl MemorySystem {
             last_iline: NO_MEMO,
             last_ipage: NO_MEMO,
             last_dline: NO_MEMO,
+            last_dpage: NO_MEMO,
             config,
         }
     }
@@ -255,7 +258,9 @@ impl MemorySystem {
     /// resident and MRU in the L1D, its page is MRU in the dTLB, so
     /// the probes would hit and refresh already-fresh LRU stamps. The
     /// skip still charges `l1_hit` — the memo elides simulator work,
-    /// never simulated cycles.
+    /// never simulated cycles. A new line on the last translated page
+    /// skips the dTLB probe alone: only this function touches the dTLB,
+    /// so that page is the newest entry there.
     #[inline]
     fn data_access(&mut self, addr: u64) -> u64 {
         let costs = self.config.costs;
@@ -265,9 +270,13 @@ impl MemorySystem {
         }
         self.last_dline = line;
         let mut extra = 0;
-        if !self.dtlb.access_page(line >> self.dpage_line_shift) {
-            self.counters.dtlb_misses += 1;
-            extra += costs.tlb_miss;
+        let page = line >> self.dpage_line_shift;
+        if page != self.last_dpage {
+            self.last_dpage = page;
+            if !self.dtlb.access_page(page) {
+                self.counters.dtlb_misses += 1;
+                extra += costs.tlb_miss;
+            }
         }
         if self.l1d.access_line(line) {
             extra += costs.l1_hit;
@@ -321,6 +330,7 @@ impl MemorySystem {
         self.last_iline = NO_MEMO;
         self.last_ipage = NO_MEMO;
         self.last_dline = NO_MEMO;
+        self.last_dpage = NO_MEMO;
     }
 }
 

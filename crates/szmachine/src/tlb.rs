@@ -96,8 +96,8 @@ impl Tlb {
     }
 
     /// Test support: whether two TLBs hold bit-identical replacement
-    /// state (keys, age stamps, and the access clock), ignoring the
-    /// hit/miss statistics. See [`crate::Cache::replacement_state_eq`].
+    /// state (keys, age stamps, MRU ways and the access clock),
+    /// ignoring the hit/miss statistics. See [`crate::Cache::replacement_state_eq`].
     #[doc(hidden)]
     pub fn replacement_state_eq(&self, other: &Tlb) -> bool {
         self.sets == other.sets

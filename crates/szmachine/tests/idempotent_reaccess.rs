@@ -11,9 +11,10 @@
 //!   equals the access clock — precisely the case `MemorySystem`'s
 //!   memo skips) leaves the replacement state bit-identical.
 //! - **Observational**: re-touching a set's MRU way that is *not* the
-//!   globally newest slot does bump its stamp, but no future access
-//!   stream can tell the difference, because only relative recency
-//!   within a set matters.
+//!   globally newest slot leaves no trace any future access stream can
+//!   tell, because only relative recency within a set matters. (The
+//!   flat storage skips even the stamp refresh there; these tests only
+//!   require the observable half.)
 //!
 //! The flat `LruSets` storage itself is covered by the literal-state
 //! unit tests in `lru.rs`; these tests exercise it through the public
@@ -128,9 +129,9 @@ fn cache_set_mru_reaccess_is_observationally_idempotent() {
         }
         let mut touched = cache.clone();
         assert!(touched.access(addr), "trial {trial}: still MRU, must hit");
-        // The stamp moved, so states differ bitwise — but no future
-        // stream may observe it: every verdict and the miss counter
-        // must track exactly (hits differ by the one extra).
+        // No future stream may observe the re-access: every verdict
+        // and the miss counter must track exactly (hits differ by the
+        // one extra).
         for step in 0..2000u64 {
             let a = rng.below(window);
             assert_eq!(

@@ -48,6 +48,7 @@ impl Marsaglia {
 }
 
 impl Rng for Marsaglia {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
         // znew = 36969 * (z & 65535) + (z >> 16)
         // wnew = 18000 * (w & 65535) + (w >> 16)

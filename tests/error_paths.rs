@@ -7,8 +7,8 @@
 
 use stabilizer::{prepare_program, Config, Stabilizer};
 use sz_ir::{AluOp, FuncId, GlobalId, Program, ProgramBuilder};
-use sz_link::LinkedLayout;
-use sz_machine::{MachineConfig, MemorySystem, PerfCounters};
+use sz_link::{LinkOrder, LinkedLayout};
+use sz_machine::{MachineConfig, MemorySystem, PerfCounters, SimTime};
 use sz_vm::{
     reference::run_reference, FrameView, LayoutEngine, RunLimits, SimpleLayout, Vm, VmError,
 };
@@ -272,6 +272,75 @@ fn out_of_memory_is_identical_on_both_interpreters() {
         "oom/linked",
     );
     assert!(matches!(e, VmError::OutOfMemory { .. }), "got {e:?}");
+}
+
+/// Allocates a small block, then `size` bytes.
+fn oversized_malloc(size: u64) -> Program {
+    let mut p = ProgramBuilder::new("oversized");
+    let mut f = p.function("main", 0);
+    let small = f.malloc(64);
+    f.store_ptr(small, 0, 1);
+    let big = f.malloc(size as i64);
+    f.store_ptr(big, 0, 2);
+    f.ret(Some(0.into()));
+    let main = p.add_function(f);
+    p.finish(main).unwrap()
+}
+
+/// A request above 2^63 bytes has no power-of-two size class. Every
+/// engine of the fuzz matrix, plus STABILIZER with the heap off, must
+/// report it as `OutOfMemory`, identically on both interpreters.
+#[test]
+fn oversized_malloc_is_out_of_memory_on_every_engine() {
+    use stabilizer::BaseAllocator;
+    let limits = RunLimits::default();
+    let machine = MachineConfig::tiny();
+    let stabilizer_configs = [
+        (
+            "segregated-rerand",
+            Config::default().with_interval(SimTime::from_nanos(3_000.0)),
+        ),
+        (
+            "tlsf",
+            Config {
+                base_allocator: BaseAllocator::Tlsf,
+                ..Config::one_time()
+            },
+        ),
+        (
+            "diehard",
+            Config {
+                base_allocator: BaseAllocator::DieHard,
+                ..Config::one_time()
+            },
+        ),
+        (
+            "heap-off",
+            Config {
+                heap: false,
+                ..Config::default()
+            },
+        ),
+    ];
+    for size in [u64::MAX, u64::MAX - 8, (1 << 63) + 1] {
+        let program = oversized_malloc(size);
+        let oom = VmError::OutOfMemory { request: size };
+        let e = assert_error_identical(&program, SimpleLayout::new, limits, "oversized/simple");
+        assert_eq!(e, oom, "simple, size {size:#x}");
+        for order in [LinkOrder::Default, LinkOrder::Shuffled { seed: 3 }] {
+            let label = format!("oversized/linked {order:?}");
+            let make = || LinkedLayout::builder().link_order(order.clone()).build();
+            let e = assert_error_identical(&program, make, limits, &label);
+            assert_eq!(e, oom, "{label}, size {size:#x}");
+        }
+        let (prepared, info) = prepare_program(&program);
+        for (name, config) in &stabilizer_configs {
+            let label = format!("oversized/stabilizer-{name}");
+            let make = || Stabilizer::new(config.clone().with_seed(9), &machine, &info);
+            let e = assert_error_identical(&prepared, make, limits, &label);
+            assert_eq!(e, oom, "{label}, size {size:#x}");
+        }
+    }
 }
 
 #[test]

@@ -11,11 +11,18 @@
 //!   never panic any parser, and `Json::parse_fields` agrees with
 //!   `Json::parse`: the same error, or the full parse cut down to the
 //!   named keys.
+//! - **Trace bytes.** `TraceSink::run_record` writes its text directly,
+//!   not through a `Json` tree. A reference renderer kept here (the
+//!   tree, escaper and number rules the writer replaced) pins its bytes
+//!   on edge-case records, and pins `Json`'s `Display` on every value
+//!   the generator makes.
 
 use sz_harness::experiments::table1;
 use sz_harness::{ExperimentOptions, Json, TraceSink};
+use sz_machine::{PerfCounters, PeriodSnapshot, SimTime};
 use sz_rng::{Rng, SplitMix64};
 use sz_serve::Request;
+use sz_vm::RunReport;
 
 /// Characters the string generator splices between ASCII runs: every
 /// one that needs an escape, plus multi-byte UTF-8 of each width.
@@ -289,4 +296,208 @@ fn havoc_never_panics_and_field_parse_agrees() {
     }
     // The mutations must exercise both outcomes.
     assert!(accepted > 200 && rejected > 200, "{accepted} / {rejected}");
+}
+
+/// The character-by-character string escaper `Json`'s `Display` used
+/// before it wrote unescaped runs whole.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A renderer independent of `Json`'s `Display`, with the same rules:
+/// non-finite floats print `null`, keys escape like strings.
+fn reference_render(v: &Json) -> String {
+    match v {
+        Json::Null => "null".to_string(),
+        Json::Bool(b) => b.to_string(),
+        Json::U64(n) => n.to_string(),
+        Json::F64(x) if x.is_finite() => x.to_string(),
+        Json::F64(_) => "null".to_string(),
+        Json::Str(s) => reference_escape(s),
+        Json::Arr(items) => {
+            let items: Vec<String> = items.iter().map(reference_render).collect();
+            format!("[{}]", items.join(","))
+        }
+        Json::Obj(fields) => {
+            let fields: Vec<String> = fields
+                .iter()
+                .map(|(k, v)| format!("{}:{}", reference_escape(k), reference_render(v)))
+                .collect();
+            format!("{{{}}}", fields.join(","))
+        }
+    }
+}
+
+fn counters_tree(c: &PerfCounters) -> Json {
+    Json::obj([
+        ("instructions", c.instructions.into()),
+        ("cycles", c.cycles.into()),
+        ("l1i_misses", c.l1i_misses.into()),
+        ("l1d_misses", c.l1d_misses.into()),
+        ("l2_misses", c.l2_misses.into()),
+        ("l3_misses", c.l3_misses.into()),
+        ("itlb_misses", c.itlb_misses.into()),
+        ("dtlb_misses", c.dtlb_misses.into()),
+        ("branches", c.branches.into()),
+        ("branch_mispredicts", c.branch_mispredicts.into()),
+    ])
+}
+
+/// A `run` record as a `Json` tree, in the field order trace readers
+/// have always seen.
+fn run_record_tree(names: [&str; 3], run: usize, report: &RunReport) -> Json {
+    let periods = report
+        .periods
+        .iter()
+        .map(|p| {
+            Json::obj([
+                ("index", p.index.into()),
+                ("start_cycles", p.start_cycles.into()),
+                ("end_cycles", p.end_cycles.into()),
+                ("counters", counters_tree(&p.counters)),
+            ])
+        })
+        .collect();
+    Json::obj([
+        ("type", "run".into()),
+        ("experiment", names[0].into()),
+        ("benchmark", names[1].into()),
+        ("variant", names[2].into()),
+        ("run", run.into()),
+        ("engine", report.engine.as_str().into()),
+        ("seconds", report.seconds().into()),
+        ("counters", counters_tree(&report.counters)),
+        ("periods", Json::Arr(periods)),
+    ])
+}
+
+fn report(nanos: f64, counters: PerfCounters, periods: usize, engine: &str) -> RunReport {
+    RunReport {
+        cycles: counters.cycles,
+        instructions: counters.instructions,
+        time: SimTime::from_nanos(nanos),
+        counters,
+        periods: (0..periods)
+            .map(|i| PeriodSnapshot {
+                index: i as u32,
+                start_cycles: 100 * i as u64,
+                end_cycles: 100 * i as u64 + 100,
+                counters,
+            })
+            .collect(),
+        return_value: Some(7),
+        engine: engine.to_string(),
+    }
+}
+
+#[test]
+fn run_records_match_the_reference_tree_byte_for_byte() {
+    // Distinct values, so a field printed in the wrong place shows.
+    let small = PerfCounters {
+        instructions: 10,
+        cycles: 40,
+        l1i_misses: 1,
+        l1d_misses: 2,
+        l2_misses: 3,
+        l3_misses: 4,
+        itlb_misses: 5,
+        dtlb_misses: 6,
+        branches: 7,
+        branch_mispredicts: 8,
+    };
+    let max = PerfCounters {
+        instructions: u64::MAX,
+        cycles: u64::MAX,
+        l1i_misses: u64::MAX,
+        l1d_misses: u64::MAX,
+        l2_misses: u64::MAX,
+        l3_misses: u64::MAX,
+        itlb_misses: u64::MAX,
+        dtlb_misses: u64::MAX,
+        branches: u64::MAX,
+        branch_mispredicts: u64::MAX,
+    };
+    let subnormal: f64 = 1e-300;
+    assert!(subnormal / 1e9 > 0.0 && !(subnormal / 1e9).is_normal());
+    let cases = [
+        (
+            ["table1", "mcf", "rerandomized"],
+            report(12.5, small, 0, "stabilizer"),
+        ),
+        (
+            ["fig7", "gcc", "O2"],
+            report(f64::NAN, small, 3, "stabilizer"),
+        ),
+        (
+            ["fig7", "gcc", "O3"],
+            report(f64::INFINITY, max, 2, "linked"),
+        ),
+        (
+            ["fig7", "gcc", "O1"],
+            report(f64::NEG_INFINITY, small, 1, "simple"),
+        ),
+        (["fig6", "lbm", "code"], report(-0.0, max, 30, "stabilizer")),
+        (
+            ["fig6", "lbm", "heap"],
+            report(subnormal, small, 1, "stabilizer"),
+        ),
+        (
+            [
+                "quote\" back\\slash",
+                "line\nbreak \u{1} del\u{7f}",
+                "é ß € 中 😀 𝄞",
+            ],
+            report(3.0e9, max, 2, "tab\there\r\u{1f}"),
+        ),
+    ];
+    for (run, (names, report)) in cases.iter().enumerate() {
+        let tree = run_record_tree(*names, run, report);
+        let expected = format!("{}\n", reference_render(&tree));
+        assert_eq!(tree.to_string(), reference_render(&tree), "case {run}");
+        let (sink, buffer) = TraceSink::in_memory();
+        sink.run_record(names[0], names[1], names[2], run, report);
+        assert_eq!(buffer.contents(), expected, "case {run}");
+        assert_eq!(Json::parse(expected.trim_end()).map(|_| ()), Ok(()));
+
+        let (sink, buffer) = TraceSink::in_memory();
+        sink.record(&tree);
+        assert_eq!(buffer.contents(), expected, "record, case {run}");
+    }
+    let (sink, buffer) = TraceSink::in_memory();
+    let fields = vec![("name\u{1}\"", Json::F64(-0.0)), ("n", Json::U64(u64::MAX))];
+    sink.summary_record("evaluate", fields.clone());
+    let mut obj = vec![
+        ("type".to_string(), Json::from("summary")),
+        ("experiment".to_string(), Json::from("evaluate")),
+    ];
+    obj.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    assert_eq!(buffer.contents(), format!("{}\n", Json::Obj(obj)));
+}
+
+#[test]
+fn display_matches_the_reference_renderer() {
+    let mut rng = SplitMix64::new(0x0E5C_0DE5);
+    for case in 0..3000 {
+        let s = gen_string(&mut rng);
+        assert_eq!(
+            Json::Str(s.clone()).to_string(),
+            reference_escape(&s),
+            "case {case}"
+        );
+        let v = gen_value(&mut rng, 0);
+        assert_eq!(v.to_string(), reference_render(&v), "case {case}");
+    }
 }
