@@ -44,14 +44,16 @@ echo "==> fuzz gate: differential fuzz, 2000 programs (seed base ${SZ_CONF_SEED:
 SZ_CONF_SEED="${SZ_CONF_SEED:-}" cargo run -q --release --offline -p sz-fuzz --bin sz-fuzz -- \
     --programs 2000 --time-cap-ms 50000
 
-echo "==> fuzz fuel sweep: 300 programs re-cut at reduced budgets"
+echo "==> fuzz fuel sweep: 3000 programs re-cut at reduced budgets"
 # Re-run a slice of the sweep with --fuel-sweep: each clean program is
 # replayed at 2-3 reduced max_instructions budgets and both
 # interpreters must report OutOfFuel at exactly the cut with identical
-# engine-visible counter traces. Catches batched executors that retire
-# fuel in different-sized chunks than the reference.
+# engine-visible counter traces. The VM runs each span whole or not at
+# all, so a budget that ends inside a span must stop the run before the
+# span starts, with the counters the reference reaches op by op. 3,000
+# programs take about 2 s on a 2-vCPU host, well inside the cap.
 SZ_CONF_SEED="${SZ_CONF_SEED:-}" cargo run -q --release --offline -p sz-fuzz --bin sz-fuzz -- \
-    --programs 300 --fuel-sweep --time-cap-ms 30000
+    --programs 3000 --fuel-sweep --time-cap-ms 30000
 
 echo "==> fuzz negative control: injected engine must be caught and shrunk"
 # Arm the deliberately broken global-aliasing engine at a pinned seed

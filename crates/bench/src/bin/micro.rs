@@ -509,10 +509,6 @@ mod tests {
             .count();
         assert_eq!((loads, stores), (3, 3), "all six pairs fused: {steps:?}");
         assert!(
-            !steps.iter().any(|s| matches!(s, Step::Op(_))),
-            "no step fell back to the general handler: {steps:?}"
-        );
-        assert!(
             matches!(term, SpanTerm::CmpBranch { .. }),
             "the compare folded into the branch terminal: {term:?}"
         );

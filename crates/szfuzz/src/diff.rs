@@ -99,7 +99,7 @@ pub enum DivergenceKind {
     /// Re-running the program at a reduced instruction budget made the
     /// interpreters disagree — on the error, or on the counter state
     /// an engine observed before the cut. This exercises exactly the
-    /// fuel-fallback seams of the batched span executor.
+    /// span executor's whole-span fuel test.
     FuelSeam,
 }
 
@@ -407,9 +407,9 @@ impl LayoutEngine for CounterSpy {
 /// A budget strictly below the clean-run retirement count is
 /// *guaranteed* to cut the run short, and where it lands is
 /// arbitrary relative to span boundaries — so the sweep drives the
-/// span executor's fuel-fallback seams (span-straddling budgets, the
-/// per-op tail after a mid-span cut) that a full-budget differential
-/// run never touches.
+/// span executor's fuel test (a span the budget cannot cover is never
+/// started, while the reference runs op by op up to the cut) that a
+/// full-budget differential run never touches.
 pub fn fuel_sweep_check(
     program: &Program,
     seed: u64,

@@ -1,19 +1,20 @@
-//! The interpreter proper: pre-decoded flat dispatch.
+//! The interpreter proper: compiled span dispatch.
 //!
 //! [`Vm::new`] lowers every function into a [`DecodedFunc`] (see
-//! [`crate::decode`]); [`Vm::run`] then executes the flat stream by
-//! bumping a per-frame cursor and executing ops *by reference* — no
-//! per-instruction cloning, no nested `Vec` indexing, no layout-table
-//! lookups. Registers for all live frames share one contiguous pool,
-//! and execution proceeds one decoded *fetch span* at a time: a
-//! single batched `fetch_lines` + `retire_batch` covers a whole
-//! straight-line run (see [`Exec::run_span`] for why that is exact).
+//! [`crate::decode`]): its ops partitioned into fetch spans, each
+//! compiled to a body of register effects and data steps. [`Vm::run`]
+//! executes code one way only, in [`Exec::run_span`]: each span is
+//! retired in one batch and its body run whole, jumps and branches
+//! chain to the next span in the same loop, and the call, return,
+//! malloc and free that end the other spans go to [`Exec::exec_op`].
+//! Registers for all live frames share one contiguous pool.
 //!
 //! The observable memory-model behaviour (`PerfCounters`, per-period
 //! snapshots, and every engine callback with the counter values it
-//! sees) is identical to the pre-decode interpreter preserved in
+//! sees) is identical to the op-at-a-time interpreter preserved in
 //! [`crate::reference`], so counters and reports are bit-identical;
-//! `tests/decode_equivalence.rs` holds that line.
+//! `tests/decode_equivalence.rs` holds that line and DESIGN.md §7a
+//! gives the argument.
 
 use sz_ir::{FuncId, Operand, Program, Reg};
 use sz_machine::{MachineConfig, MemorySystem};
@@ -53,8 +54,8 @@ pub struct Vm<'p> {
 /// One activation record.
 ///
 /// Registers live in the shared [`Exec::regs`] pool starting at
-/// `reg_base`; the instruction cursor `ip` indexes the owning
-/// function's flat decoded stream.
+/// `reg_base`; `span` is where execution resumes in the owning
+/// function.
 #[derive(Debug)]
 struct Frame {
     func: FuncId,
@@ -65,8 +66,8 @@ struct Frame {
     frame_addr: u64,
     /// Where the caller stores this activation's return value.
     ret_to: Option<Reg>,
-    /// Cursor into the decoded stream.
-    ip: u32,
+    /// Index of the span this frame resumes at.
+    span: u32,
     /// Stack pointer to restore on return.
     sp_restore: u64,
 }
@@ -260,143 +261,84 @@ impl Exec<'_, '_> {
             reg_base,
             frame_addr: new_sp,
             ret_to,
-            ip: 0,
+            span: 0,
             sp_restore,
         });
         self.stack_view.push(FrameView { func, code_base });
         Ok(())
     }
 
-    /// Executes the fetch span the top frame's `ip` points at as one
-    /// batched front-end event: a single line-range fetch plus a
-    /// single batched retire, then the ops back to back with no
-    /// per-instruction memory-system traffic. Returns the program's
-    /// final value when the last frame returns.
+    /// Runs the top frame from its resume span until a call, return,
+    /// malloc or free ends a span, then hands that op to
+    /// [`Exec::exec_op`]. Returns the program's final value when the
+    /// last frame returns.
     ///
-    /// Exactness: batching is only applied from a span's first op,
-    /// mid-span ops are infallible and engine-invisible, and nothing
-    /// observes the counters between two ops of a span — engine
-    /// callbacks (tick / enter / pad / malloc / free), period
-    /// snapshots, and error paths all sit at span-terminal ops, where
-    /// the batched totals equal the reference interpreter's running
-    /// totals. Spans that would cross the fuel limit fall back to the
-    /// per-op path ([`Exec::step`]), and a dispatch that lands
-    /// mid-span (the tail of a span a fuel fallback stepped into)
-    /// stays per-op until the next span start; impure spans straddling
-    /// an L1I line under the current code base keep the reference's
-    /// fetch interleaving ([`Exec::run_steps_fetching`]) so the
-    /// shared-L2/L3 access order matches the reference exactly.
+    /// Every span runs whole or not at all: one `retire_batch` for all
+    /// its ops, its compiled body, then its terminal. Jump and branch
+    /// terminals chain to the next span inside this loop, so the frame
+    /// state hoisted below is read once per chain. DESIGN.md §7a argues
+    /// why the result is the reference interpreter's exact
+    /// `MemorySystem` call sequence.
     fn run_span(&mut self) -> Result<Option<u64>, VmError> {
         let limit = self.limits.max_instructions;
         // Anything that mutated the engine since the last entry exited
         // through an `Op` terminal, so one reset here re-validates the
-        // global-base memo for the whole dispatch.
+        // global-base memo for the whole chain.
         self.gb_memo.0 = u32::MAX;
 
-        // `vm` is a shared reference copied out of `self`, so the span
-        // and its ops borrow the decoded stream independently of
-        // `self` — the hot loop executes by reference with zero
-        // cloning.
+        // `vm` is a shared reference copied out of `self`, so the spans
+        // and their bodies borrow the decoded stream independently of
+        // `self`.
         let vm = self.vm;
         let top = self.stack.len() - 1;
         let frame = &self.stack[top];
         let func = &vm.decoded[frame.func.0 as usize];
         let code_base = frame.code_base;
         let reg_base = frame.reg_base;
-        let ip = frame.ip;
-        // The entry dispatch is the only op-index -> span mapping: a
-        // stored `ip` may sit mid-span (the tail of a span a fuel
-        // fallback stepped into), which stays on the per-op path until
-        // the next span start. Terminals carry *span* indices, so the
-        // chain loop below hops span to span with no `span_of` lookup
-        // and no alignment re-check.
-        let mut span_idx = func.span_of[ip as usize] as usize;
-        if ip != func.spans[span_idx].start {
-            return self.step();
-        }
-        // Jump and branch terminals (fused or not) stay inside this
-        // frame, so their spans chain through this loop without
-        // surfacing to the caller: the hoisted frame state above is
-        // paid for once per chain, not once per span. Anything that
-        // can grow or shrink the stack is an `Op` terminal, which
-        // returns. The frame's stored `ip` is only re-synced where
-        // someone reads it (the per-op fallback, fuel exits, and `Op`
-        // terminals — recovered as the current span's `start`);
-        // mid-chain it is stale and nothing observes it. `retired`
-        // likewise tracks the instruction counter locally: the only
-        // retirement mid-chain is this loop's own `retire_batch`.
+        let mut span_idx = frame.span as usize;
+        // Only this loop retires instructions, so `retired <= limit`
+        // always holds and the fuel test below cannot wrap.
         let mut retired = self.mem.counters().instructions;
         loop {
             let span = &func.spans[span_idx];
-            if retired >= limit {
-                self.stack[top].ip = span.start;
+            // A span's non-terminal ops cannot fail or call the engine,
+            // so the reference, walking op by op into a span it cannot
+            // finish, stops with this same error and the same
+            // engine-observed counters.
+            if u64::from(span.count) > limit - retired {
                 return Err(VmError::OutOfFuel { limit });
             }
-            if retired + u64::from(span.count) > limit {
-                // Run op by op so OutOfFuel fires at exactly the same
-                // instruction, with the same counters, as the
-                // reference.
-                self.stack[top].ip = span.start;
-                return self.step();
-            }
-
-            let first = code_base + span.first_pc;
-            let last = code_base + span.end_pc - 1;
-            // A span may hoist its whole footprint into one front-end
-            // event when that cannot reorder anything the shared
-            // L2/L3 observes: either the bytes sit on ONE line (the
-            // reference's only probe then happens at the first op,
-            // exactly where the batch puts it), or the span is `pure`
-            // — no mid-span data traffic — so the reference's line
-            // walk is already an uninterrupted ascending sweep
-            // identical to `fetch_lines`.
-            let batched = span.pure || self.mem.same_fetch_line(first, last);
             self.mem
                 .retire_batch(u64::from(span.count), span.base_cycles);
             retired += u64::from(span.count);
 
-            // A compiled span body executes the exact op sequence —
-            // same register writes, same data traffic in the same
-            // order — so nothing observable differs from the per-op
-            // walk in `run_ops` (the window-overflow fallback where
-            // no body compiled): pure spans sweep a flat effect list
-            // with no per-op dispatch at all, impure single-line
-            // spans walk their step list (fused pairs plus
-            // general-handler hops), and straddling impure spans walk
-            // the same step list with the reference's fetch
-            // interleaving. The terminal is handled below, shared by
-            // all three.
-            let term = if batched {
-                self.mem.fetch_lines(first, last);
-                match func.bodies[span_idx] {
-                    SpanBody::Effects { first, count, term } => {
-                        let window = &mut self.regs[reg_base..];
-                        for e in &func.effects[first as usize..(first + count) as usize] {
-                            window[usize::from(e.dst)] =
-                                e.op.eval(window[usize::from(e.a)], window[usize::from(e.b)]);
-                        }
-                        term
+            let lo = code_base + span.first_pc;
+            let hi = code_base + span.end_pc - 1;
+            let term = match func.bodies[span_idx] {
+                // A pure span's reference fetches are one ascending line
+                // walk, whatever its length.
+                SpanBody::Effects { first, count, term } => {
+                    self.mem.fetch_lines(lo, hi);
+                    let window = &mut self.regs[reg_base..];
+                    for e in &func.effects[first as usize..(first + count) as usize] {
+                        window[usize::from(e.dst)] =
+                            e.op.eval(window[e.a as usize], window[e.b as usize]);
                     }
-                    SpanBody::Steps { first, count, term } => {
-                        let frame_addr = self.stack[top].frame_addr;
-                        for step in &func.steps[first as usize..(first + count) as usize] {
-                            self.exec_step(top, func, step, reg_base, frame_addr, code_base)?;
-                        }
-                        term
-                    }
-                    SpanBody::Ops => return self.run_ops(top, func, span, true, code_base),
+                    term
                 }
-            } else {
-                match func.bodies[span_idx] {
-                    SpanBody::Steps { first, count, term } => {
-                        self.run_steps_fetching(top, func, span, first, count, code_base)?;
-                        term
+                // An impure span fetches at once only when it sits on
+                // one line, whose single probe the reference makes at
+                // the first op.
+                SpanBody::Steps { first, count, term } => {
+                    let steps = &func.steps[first as usize..(first + count) as usize];
+                    let frame_addr = self.stack[top].frame_addr;
+                    if self.mem.same_fetch_line(lo, hi) {
+                        self.mem.fetch_lines(lo, hi);
+                        self.run_steps::<false>(func, span, steps, reg_base, frame_addr, code_base);
+                    } else {
+                        self.run_steps::<true>(func, span, steps, reg_base, frame_addr, code_base);
                     }
-                    // An unbatched span is impure, so a compiled body
-                    // for it is always `Steps`; `Ops` (and a
-                    // hypothetical `Effects`) take the uncompiled
-                    // walk.
-                    _ => return self.run_ops(top, func, span, false, code_base),
+                    term
                 }
             };
 
@@ -408,9 +350,7 @@ impl Exec<'_, '_> {
                     not_taken,
                 } => {
                     let window = &mut self.regs[reg_base..];
-                    let c = eff
-                        .op
-                        .eval(window[usize::from(eff.a)], window[usize::from(eff.b)]);
+                    let c = eff.op.eval(window[eff.a as usize], window[eff.b as usize]);
                     window[usize::from(eff.dst)] = c;
                     let t = c != 0;
                     self.mem.branch(code_base + pc_rel, t);
@@ -423,112 +363,61 @@ impl Exec<'_, '_> {
                     taken,
                     not_taken,
                 } => {
-                    let c = self.regs[reg_base + usize::from(cond)] != 0;
+                    let c = self.regs[reg_base + cond as usize] != 0;
                     self.mem.branch(code_base + pc_rel, c);
                     span_idx = if c { taken } else { not_taken } as usize;
                 }
                 SpanTerm::Op => {
-                    // Re-sync `ip` to the terminal index (mid-span
-                    // `Step::Op` handlers bump the stored `ip`
-                    // incidentally, so it must be repositioned, not
-                    // trusted) and take the general per-op path.
-                    let term_idx = span.start + span.count - 1;
-                    self.stack[top].ip = term_idx;
-                    let op = &func.ops[term_idx as usize];
-                    return self.exec_op(top, op, code_base + op.pc);
+                    // A call, malloc or free is never a block's last
+                    // op, so the span after it exists; after a return
+                    // the frame is gone and the index is never read.
+                    self.stack[top].span = span_idx as u32 + 1;
+                    let op = &func.ops[(span.start + span.count - 1) as usize];
+                    return self.exec_op(top, op);
                 }
             }
         }
     }
 
-    /// The uncompiled span walk (window-overflow fallback): every op,
-    /// terminal included, goes through the general handler, with per-op
-    /// fetches unless the span's footprint was already batched.
-    fn run_ops(
-        &mut self,
-        top: usize,
-        func: &DecodedFunc,
-        span: &FetchSpan,
-        batched: bool,
-        code_base: u64,
-    ) -> Result<Option<u64>, VmError> {
-        // `exec_op` advances the stored `ip` op by op, so restore the
-        // entry invariant (`run_span` only dispatches span starts).
-        self.stack[top].ip = span.start;
-        let end = span.start + span.count;
-        for idx in span.start..end {
-            let op = &func.ops[idx as usize];
-            let pc = code_base + op.pc;
-            if !batched {
-                self.mem.fetch(pc, u64::from(op.size));
-            }
-            let out = self.exec_op(top, op, pc)?;
-            if idx + 1 == end {
-                return Ok(out);
-            }
-        }
-        unreachable!("spans have at least one op");
-    }
-
-    /// Executes an impure span that straddles I-lines: the mid ops
-    /// dispatch through the compiled step list while instruction
-    /// fetch keeps the reference's exact interleaving with the data
-    /// traffic. The step list is a faithful in-order lowering of the
-    /// mid ops with Nops dropped and a possibly-folded terminal
-    /// compare, so an op cursor walks the decoded stream alongside
-    /// the steps. Fetch is issued in pending runs: between two data
-    /// accesses every op is fetch-only (pure effects, dropped Nops, a
-    /// folded compare — none emits an observable event), and their
-    /// per-op fetches form the same uninterrupted ascending line
-    /// sweep [`MemorySystem::fetch_lines`] performs, so each run is
-    /// flushed as one walk exactly where the next data access (or the
-    /// span's end) pins it. Inside a fused pair the flushes
-    /// interleave with the pair's data traffic exactly as the two
+    /// Runs an impure span's mid-op steps in op order. With `FETCH` the
+    /// span straddles I-lines and its fetches are issued here, in the
+    /// reference's interleaving with the data traffic; without, the
+    /// caller has fetched the span's one line and the flushes compile
+    /// away.
+    ///
+    /// Between two data accesses every op is fetch-only (pure effects,
+    /// Nops, a compare folded into the terminal), and their per-op
+    /// fetches are the same ascending line walk `fetch_lines` makes, so
+    /// each pending run is issued as one walk right before the access
+    /// that ends it, and the tail through the terminal after the last
+    /// step. Inside a fused pair the flushes fall exactly where the two
     /// unfused ops' fetches would.
-    fn run_steps_fetching(
+    #[inline(always)]
+    fn run_steps<const FETCH: bool>(
         &mut self,
-        top: usize,
         func: &DecodedFunc,
         span: &FetchSpan,
-        first: u32,
-        count: u32,
+        steps: &[Step],
+        reg_base: usize,
+        frame_addr: u64,
         code_base: u64,
-    ) -> Result<(), VmError> {
-        let term_idx = (span.start + span.count - 1) as usize;
-        // Mid-span steps never push or pop frames (everything that
-        // can is an `Op` terminal), so the frame geometry is loop
-        // invariant even though `exec_op` may bump the stored `ip`.
-        let frame = &self.stack[top];
-        let reg_base = frame.reg_base;
-        let frame_addr = frame.frame_addr;
-        // First op whose fetch has not been issued yet. Every
-        // data-bearing step carries its own flat stream index, so the
-        // fetch runs are pinned without walking the op stream; the
-        // fetch-only ops in between (pure effects, Nops) just stay in
-        // the pending run.
+    ) {
+        // First op whose fetch has not been issued yet.
         let mut pend = span.start as usize;
-        let flush = |mem: &mut MemorySystem, pend: usize, last: usize| {
-            debug_assert!(pend <= last, "a flush covers at least one op");
-            let first_op = &func.ops[pend];
-            let last_op = &func.ops[last];
-            mem.fetch_lines(
-                code_base + first_op.pc,
-                code_base + last_op.pc + u64::from(last_op.size) - 1,
-            );
+        let mut fetch_through = |mem: &mut MemorySystem, last: usize| {
+            if FETCH {
+                debug_assert!(pend <= last, "a flush covers at least one op");
+                let (a, b) = (&func.ops[pend], &func.ops[last]);
+                mem.fetch_lines(code_base + a.pc, code_base + b.pc + u64::from(b.size) - 1);
+                pend = last + 1;
+            }
         };
-        for step in &func.steps[first as usize..(first + count) as usize] {
+        for step in steps {
             match *step {
                 Step::Effect(e) => {
                     let window = &mut self.regs[reg_base..];
                     window[usize::from(e.dst)] =
-                        e.op.eval(window[usize::from(e.a)], window[usize::from(e.b)]);
-                }
-                Step::Op(idx) => {
-                    let idx = idx as usize;
-                    flush(self.mem, pend, idx);
-                    pend = idx + 1;
-                    let op = &func.ops[idx];
-                    self.exec_op(top, op, code_base + op.pc)?;
+                        e.op.eval(window[e.a as usize], window[e.b as usize]);
                 }
                 Step::LoadSlotAlu {
                     idx,
@@ -536,21 +425,17 @@ impl Exec<'_, '_> {
                     byte_off,
                     eff,
                 } => {
-                    // The load's own fetch lands before its data
-                    // access; the fused ALU's fetch joins the next
-                    // pending run (the effect itself is unobservable,
-                    // so running it early reorders nothing).
-                    let idx = idx as usize;
-                    flush(self.mem, pend, idx);
-                    pend = idx + 1;
+                    // The ALU's fetch joins the next pending run: its
+                    // effect is unobservable, so running it early
+                    // reorders nothing.
+                    fetch_through(self.mem, idx as usize);
                     let addr = frame_addr + byte_off;
                     self.mem.load(addr);
                     let v = self.values.read(addr);
                     let window = &mut self.regs[reg_base..];
                     window[usize::from(dst)] = v;
-                    window[usize::from(eff.dst)] = eff
-                        .op
-                        .eval(window[usize::from(eff.a)], window[usize::from(eff.b)]);
+                    window[usize::from(eff.dst)] =
+                        eff.op.eval(window[eff.a as usize], window[eff.b as usize]);
                 }
                 Step::AluStoreSlot {
                     idx,
@@ -558,33 +443,25 @@ impl Exec<'_, '_> {
                     src,
                     byte_off,
                 } => {
-                    // Both halves fetch before the store's data
-                    // access (the ALU emits no event in between).
-                    let idx = idx as usize;
-                    flush(self.mem, pend, idx + 1);
-                    pend = idx + 2;
+                    // Both halves fetch before the store's data access.
+                    fetch_through(self.mem, idx as usize + 1);
                     let window = &mut self.regs[reg_base..];
-                    window[usize::from(eff.dst)] = eff
-                        .op
-                        .eval(window[usize::from(eff.a)], window[usize::from(eff.b)]);
-                    let v = window[usize::from(src)];
+                    window[usize::from(eff.dst)] =
+                        eff.op.eval(window[eff.a as usize], window[eff.b as usize]);
+                    let v = window[src as usize];
                     let addr = frame_addr + byte_off;
                     self.mem.store(addr);
                     self.values.write(addr, v);
                 }
                 Step::LoadSlot { idx, dst, byte_off } => {
-                    let idx = idx as usize;
-                    flush(self.mem, pend, idx);
-                    pend = idx + 1;
+                    fetch_through(self.mem, idx as usize);
                     let addr = frame_addr + byte_off;
                     self.mem.load(addr);
                     self.regs[reg_base + usize::from(dst)] = self.values.read(addr);
                 }
                 Step::StoreSlot { idx, src, byte_off } => {
-                    let idx = idx as usize;
-                    flush(self.mem, pend, idx);
-                    pend = idx + 1;
-                    let v = self.regs[reg_base + usize::from(src)];
+                    fetch_through(self.mem, idx as usize);
+                    let v = self.regs[reg_base + src as usize];
                     let addr = frame_addr + byte_off;
                     self.mem.store(addr);
                     self.values.write(addr, v);
@@ -595,10 +472,8 @@ impl Exec<'_, '_> {
                     offset,
                     global,
                 } => {
-                    let idx = idx as usize;
-                    flush(self.mem, pend, idx);
-                    pend = idx + 1;
-                    let off = self.regs[reg_base + usize::from(offset)];
+                    fetch_through(self.mem, idx as usize);
+                    let off = self.regs[reg_base + offset as usize];
                     let addr = self.global_base(global).wrapping_add(off);
                     self.mem.load(addr);
                     self.regs[reg_base + usize::from(dst)] = self.values.read(addr);
@@ -609,12 +484,10 @@ impl Exec<'_, '_> {
                     offset,
                     global,
                 } => {
-                    let idx = idx as usize;
-                    flush(self.mem, pend, idx);
-                    pend = idx + 1;
+                    fetch_through(self.mem, idx as usize);
                     let window = &self.regs[reg_base..];
-                    let v = window[usize::from(src)];
-                    let off = window[usize::from(offset)];
+                    let v = window[src as usize];
+                    let off = window[offset as usize];
                     let addr = self.global_base(global).wrapping_add(off);
                     self.mem.store(addr);
                     self.values.write(addr, v);
@@ -625,9 +498,7 @@ impl Exec<'_, '_> {
                     base,
                     offset,
                 } => {
-                    let idx = idx as usize;
-                    flush(self.mem, pend, idx);
-                    pend = idx + 1;
+                    fetch_through(self.mem, idx as usize);
                     let addr = self.regs[reg_base + usize::from(base)].wrapping_add(offset);
                     self.mem.load(addr);
                     self.regs[reg_base + usize::from(dst)] = self.values.read(addr);
@@ -638,233 +509,27 @@ impl Exec<'_, '_> {
                     base,
                     offset,
                 } => {
-                    let idx = idx as usize;
-                    flush(self.mem, pend, idx);
-                    pend = idx + 1;
+                    fetch_through(self.mem, idx as usize);
                     let window = &self.regs[reg_base..];
-                    let v = window[usize::from(src)];
+                    let v = window[src as usize];
                     let addr = window[usize::from(base)].wrapping_add(offset);
                     self.mem.store(addr);
                     self.values.write(addr, v);
                 }
             }
         }
-        // Everything still pending through the terminal (trailing
-        // Nops, a folded compare, the terminal op itself) is
-        // fetch-only until the terminal executes in `run_span`, so
-        // one final flush pins the span's whole front-end tail.
-        flush(self.mem, pend, term_idx);
-        Ok(())
+        fetch_through(self.mem, (span.start + span.count - 1) as usize);
     }
 
-    /// Executes one batched mid-span step of frame `top`. Mid-span
-    /// steps are infallible and engine-invisible (every fallible or
-    /// callback-bearing op is span-terminal by construction); fused
-    /// steps issue their data traffic in the original op order. The
-    /// frame geometry is passed in, hoisted by the caller: mid-span
-    /// steps never push or pop frames.
-    fn exec_step(
-        &mut self,
-        top: usize,
-        func: &DecodedFunc,
-        step: &Step,
-        reg_base: usize,
-        frame_addr: u64,
-        code_base: u64,
-    ) -> Result<(), VmError> {
-        match *step {
-            Step::Effect(e) => {
-                let window = &mut self.regs[reg_base..];
-                window[usize::from(e.dst)] =
-                    e.op.eval(window[usize::from(e.a)], window[usize::from(e.b)]);
-            }
-            Step::Op(idx) => {
-                let op = &func.ops[idx as usize];
-                self.exec_op(top, op, code_base + op.pc)?;
-            }
-            Step::LoadSlotAlu {
-                dst, byte_off, eff, ..
-            } => {
-                let addr = frame_addr + byte_off;
-                self.mem.load(addr);
-                let v = self.values.read(addr);
-                let window = &mut self.regs[reg_base..];
-                window[usize::from(dst)] = v;
-                window[usize::from(eff.dst)] = eff
-                    .op
-                    .eval(window[usize::from(eff.a)], window[usize::from(eff.b)]);
-            }
-            Step::AluStoreSlot {
-                eff, src, byte_off, ..
-            } => {
-                let window = &mut self.regs[reg_base..];
-                window[usize::from(eff.dst)] = eff
-                    .op
-                    .eval(window[usize::from(eff.a)], window[usize::from(eff.b)]);
-                let v = window[usize::from(src)];
-                let addr = frame_addr + byte_off;
-                self.mem.store(addr);
-                self.values.write(addr, v);
-            }
-            Step::LoadSlot { dst, byte_off, .. } => {
-                let addr = frame_addr + byte_off;
-                self.mem.load(addr);
-                self.regs[reg_base + usize::from(dst)] = self.values.read(addr);
-            }
-            Step::StoreSlot { src, byte_off, .. } => {
-                let v = self.regs[reg_base + usize::from(src)];
-                let addr = frame_addr + byte_off;
-                self.mem.store(addr);
-                self.values.write(addr, v);
-            }
-            Step::LoadGlobal {
-                dst,
-                offset,
-                global,
-                ..
-            } => {
-                let off = self.regs[reg_base + usize::from(offset)];
-                let addr = self.global_base(global).wrapping_add(off);
-                self.mem.load(addr);
-                self.regs[reg_base + usize::from(dst)] = self.values.read(addr);
-            }
-            Step::StoreGlobal {
-                src,
-                offset,
-                global,
-                ..
-            } => {
-                let window = &self.regs[reg_base..];
-                let v = window[usize::from(src)];
-                let off = window[usize::from(offset)];
-                let addr = self.global_base(global).wrapping_add(off);
-                self.mem.store(addr);
-                self.values.write(addr, v);
-            }
-            Step::LoadPtr {
-                dst, base, offset, ..
-            } => {
-                let addr = self.regs[reg_base + usize::from(base)].wrapping_add(offset);
-                self.mem.load(addr);
-                self.regs[reg_base + usize::from(dst)] = self.values.read(addr);
-            }
-            Step::StorePtr {
-                src, base, offset, ..
-            } => {
-                let window = &self.regs[reg_base..];
-                let v = window[usize::from(src)];
-                let addr = window[usize::from(base)].wrapping_add(offset);
-                self.mem.store(addr);
-                self.values.write(addr, v);
-            }
-        }
-        Ok(())
-    }
-
-    /// Executes one decoded op of the top frame with per-instruction
-    /// fetch/retire — the exact reference sequence. [`Exec::run_span`]
-    /// uses it whenever a span cannot be batched.
-    fn step(&mut self) -> Result<Option<u64>, VmError> {
-        if self.mem.counters().instructions >= self.limits.max_instructions {
-            return Err(VmError::OutOfFuel {
-                limit: self.limits.max_instructions,
-            });
-        }
-
+    /// Executes the call, return, malloc or free that ended frame
+    /// `top`'s span; the op is already fetched and retired, and the
+    /// frame already resumes at the next span. Returns the program's
+    /// final value when the last frame returns.
+    fn exec_op(&mut self, top: usize, op: &DecodedOp) -> Result<Option<u64>, VmError> {
         let vm = self.vm;
-        let top = self.stack.len() - 1;
-        let frame = &self.stack[top];
-        let op = &vm.decoded[frame.func.0 as usize].ops[frame.ip as usize];
-        let pc = frame.code_base + op.pc;
-        self.mem.fetch(pc, u64::from(op.size));
-        self.mem.retire(u64::from(op.cycles));
-        self.exec_op(top, op, pc)
-    }
-
-    /// Executes one already-fetched, already-retired op of frame
-    /// `top`. Returns the program's final value when the last frame
-    /// returns.
-    fn exec_op(&mut self, top: usize, op: &DecodedOp, pc: u64) -> Result<Option<u64>, VmError> {
-        let vm = self.vm;
-        let frame = &mut self.stack[top];
-        let reg_base = frame.reg_base;
+        let reg_base = self.stack[top].reg_base;
         match &op.kind {
-            OpKind::Alu { dst, op, a, b } => {
-                frame.ip += 1;
-                let regs = &mut self.regs[reg_base..];
-                let x = operand(regs, *a);
-                let y = operand(regs, *b);
-                regs[dst.0 as usize] = op.eval(x, y);
-            }
-            OpKind::FpConst { dst, bits } => {
-                frame.ip += 1;
-                self.regs[reg_base + dst.0 as usize] = *bits;
-            }
-            OpKind::IntToFp { dst, src } => {
-                frame.ip += 1;
-                let regs = &mut self.regs[reg_base..];
-                let v = operand(regs, *src) as i64;
-                regs[dst.0 as usize] = (v as f64).to_bits();
-            }
-            OpKind::FpToInt { dst, src } => {
-                frame.ip += 1;
-                let regs = &mut self.regs[reg_base..];
-                let v = f64::from_bits(operand(regs, *src));
-                regs[dst.0 as usize] = v as i64 as u64;
-            }
-            OpKind::LoadSlot { dst, byte_off } => {
-                frame.ip += 1;
-                let addr = frame.frame_addr + byte_off;
-                self.mem.load(addr);
-                self.regs[reg_base + dst.0 as usize] = self.values.read(addr);
-            }
-            OpKind::StoreSlot { src, byte_off } => {
-                frame.ip += 1;
-                let v = operand(&self.regs[reg_base..], *src);
-                let addr = frame.frame_addr + byte_off;
-                self.mem.store(addr);
-                self.values.write(addr, v);
-            }
-            OpKind::LoadGlobal {
-                dst,
-                global,
-                offset,
-            } => {
-                frame.ip += 1;
-                let off = operand(&self.regs[reg_base..], *offset);
-                let addr = self.global_base(*global).wrapping_add(off);
-                self.mem.load(addr);
-                self.regs[reg_base + dst.0 as usize] = self.values.read(addr);
-            }
-            OpKind::StoreGlobal {
-                src,
-                global,
-                offset,
-            } => {
-                frame.ip += 1;
-                let regs = &self.regs[reg_base..];
-                let v = operand(regs, *src);
-                let off = operand(regs, *offset);
-                let addr = self.global_base(*global).wrapping_add(off);
-                self.mem.store(addr);
-                self.values.write(addr, v);
-            }
-            OpKind::LoadPtr { dst, base, offset } => {
-                frame.ip += 1;
-                let addr = self.regs[reg_base + base.0 as usize].wrapping_add(*offset);
-                self.mem.load(addr);
-                self.regs[reg_base + dst.0 as usize] = self.values.read(addr);
-            }
-            OpKind::StorePtr { src, base, offset } => {
-                frame.ip += 1;
-                let regs = &self.regs[reg_base..];
-                let v = operand(regs, *src);
-                let addr = regs[base.0 as usize].wrapping_add(*offset);
-                self.mem.store(addr);
-                self.values.write(addr, v);
-            }
             OpKind::Malloc { dst, size } => {
-                frame.ip += 1;
                 let sz = guest_malloc_size(operand(&self.regs[reg_base..], *size));
                 let addr = self
                     .engine
@@ -873,14 +538,12 @@ impl Exec<'_, '_> {
                 self.regs[reg_base + dst.0 as usize] = addr;
             }
             OpKind::Free { ptr } => {
-                frame.ip += 1;
                 let addr = self.regs[reg_base + ptr.0 as usize];
                 if !self.engine.free(addr, self.mem) {
                     return Err(VmError::InvalidFree { addr });
                 }
             }
             OpKind::Call { func, args, ret } => {
-                frame.ip += 1;
                 let mut argv = std::mem::take(&mut self.scratch);
                 argv.clear();
                 let regs = &self.regs[reg_base..];
@@ -888,21 +551,6 @@ impl Exec<'_, '_> {
                 let result = self.push_frame(*func, &argv, *ret);
                 self.scratch = argv;
                 result?;
-            }
-            OpKind::Nop => {
-                frame.ip += 1;
-            }
-            OpKind::Jump { target } => {
-                frame.ip = *target;
-            }
-            OpKind::Branch {
-                cond,
-                taken,
-                not_taken,
-            } => {
-                let c = operand(&self.regs[reg_base..], *cond) != 0;
-                self.mem.branch(pc, c);
-                frame.ip = if c { *taken } else { *not_taken };
             }
             OpKind::Ret { value } => {
                 let v = value.map(|op| operand(&self.regs[reg_base..], op));
@@ -922,6 +570,7 @@ impl Exec<'_, '_> {
                     Ok(v)
                 };
             }
+            _ => unreachable!("only calls, returns, mallocs and frees end a span through Op"),
         }
         Ok(None)
     }

@@ -11,6 +11,7 @@ use sz_ir::{AluOp, BlockId, Program, ProgramBuilder};
 use sz_link::{LinkOrder, LinkedLayout};
 use sz_machine::{MachineConfig, SimTime};
 use sz_opt::{optimize, OptLevel};
+use sz_vm::decode::Step;
 use sz_vm::{reference::run_reference, LayoutEngine, OpKind, RunLimits, Vm};
 use sz_workloads::Scale;
 
@@ -209,7 +210,6 @@ fn fetch_spans_partition_every_suite_function() {
         let program = spec.program(Scale::Tiny);
         let vm = Vm::new(&program);
         for d in vm.decoded_funcs() {
-            assert_eq!(d.span_of.len(), d.ops.len(), "{}", spec.name);
             let mut next = 0u32;
             for span in &d.spans {
                 assert_eq!(span.start, next, "{}: contiguous spans", spec.name);
@@ -240,18 +240,14 @@ fn fetch_spans_partition_every_suite_function() {
             assert_eq!(next as usize, d.ops.len(), "{}: full coverage", spec.name);
             // Every dispatchable index is a span start: block starts
             // (jump/branch targets) and call continuations.
+            let starts_span = |i: u32| d.spans.binary_search_by_key(&i, |s| s.start).is_ok();
             for &bs in &d.block_starts {
-                assert_eq!(
-                    d.spans[d.span_of[bs as usize] as usize].start, bs,
-                    "{}: block start mid-span",
-                    spec.name
-                );
+                assert!(starts_span(bs), "{}: block start mid-span", spec.name);
             }
             for (i, op) in d.ops.iter().enumerate() {
-                if matches!(op.kind, OpKind::Call { .. }) && i + 1 < d.ops.len() {
-                    assert_eq!(
-                        d.spans[d.span_of[i + 1] as usize].start as usize,
-                        i + 1,
+                if matches!(op.kind, OpKind::Call { .. }) {
+                    assert!(
+                        starts_span(i as u32 + 1),
                         "{}: call continuation mid-span",
                         spec.name
                     );
@@ -324,4 +320,126 @@ fn golden_decoded_stream() {
         d.ops[0].kind,
         OpKind::StoreSlot { byte_off: 0, .. }
     ));
+}
+
+/// A frame's window — its registers followed by its function's
+/// interned constants — may pass 65,536 entries. Such a function still
+/// compiles every span, with operand indices above `u16::MAX`, and
+/// runs bit-identically to the reference interpreter.
+#[test]
+fn a_window_wider_than_u16_compiles_and_matches_the_reference() {
+    let mut p = ProgramBuilder::new("wide");
+    let g = p.global("g", 8 * 64);
+    let mut f = p.function("main", 0);
+    let s = f.slot();
+    // Chained adds of distinct immediates: one register and one
+    // constant each. A slot store and a global store every 1,000 adds
+    // make the span impure, so it runs as steps.
+    let mut v = f.alu(AluOp::Add, 0, 1);
+    for k in 1..33_000i64 {
+        v = f.alu(AluOp::Add, v, 1_000_000 + k);
+        if k % 1_000 == 0 {
+            f.store_slot(s, v);
+            f.store_global(g, 8 * (k / 1_000), v);
+        }
+    }
+    f.ret(Some(v.into()));
+    let main = p.add_function(f);
+    let program = p.finish(main).unwrap();
+
+    let vm = Vm::new(&program);
+    let d = &vm.decoded_funcs()[main.0 as usize];
+    d.validate_bodies();
+    let window = usize::from(d.num_regs) + d.consts.len();
+    assert!(window > 1 << 16, "window is {window} entries");
+    let widest = d
+        .steps
+        .iter()
+        .filter_map(|step| match step {
+            Step::Effect(e) | Step::AluStoreSlot { eff: e, .. } => Some(e.a.max(e.b)),
+            _ => None,
+        })
+        .max();
+    assert!(
+        widest > Some(u32::from(u16::MAX)),
+        "widest operand {widest:?}"
+    );
+
+    let sum = (1..33_000u64).map(|k| 1_000_000 + k).sum::<u64>() + 1;
+    let machine = MachineConfig::tiny();
+    let mut a = sz_vm::SimpleLayout::new();
+    let decoded = vm.run(&mut a, machine, RunLimits::default()).unwrap();
+    assert_eq!(decoded.return_value, Some(sum));
+    assert_bit_identical(
+        &program,
+        Box::new(sz_vm::SimpleLayout::new()),
+        Box::new(sz_vm::SimpleLayout::new()),
+        machine,
+        "wide window",
+    );
+}
+
+/// Caches of one set each, so the order in which I- and D-side misses
+/// reach the shared L2/L3 decides which lines survive.
+fn one_set_machine() -> MachineConfig {
+    let one_set = |ways: u32| sz_machine::CacheConfig {
+        size_bytes: 64 * u64::from(ways),
+        ways,
+        line_bytes: 64,
+    };
+    MachineConfig {
+        l1i: one_set(1),
+        l1d: one_set(1),
+        l2: one_set(2),
+        l3: one_set(2),
+        ..MachineConfig::tiny()
+    }
+}
+
+/// A loop whose body is one impure span of fused pairs, shifted by
+/// `pad` bytes against the I-lines, with loads alternating between two
+/// D-lines so that they miss L1D.
+fn fused_pairs_at(pad: u8) -> Program {
+    let mut p = ProgramBuilder::new("pairs");
+    let mut f = p.function("main", 0);
+    let x = f.slots(9);
+    let y = x + 8;
+    let n = f.alu(AluOp::Add, 0, 8);
+    f.store_slot(x, 1);
+    f.store_slot(y, 2);
+    let header = f.new_block();
+    let exit = f.new_block();
+    f.jump(header);
+    f.switch_to(header);
+    f.nop(pad);
+    for _ in 0..4 {
+        let a = f.load_slot(x);
+        let b = f.alu(AluOp::Add, a, 1);
+        let c = f.load_slot(y);
+        let d = f.alu(AluOp::Xor, c, b);
+        let e = f.alu(AluOp::Add, d, 3);
+        f.store_slot(x, e);
+    }
+    f.alu_into(n, AluOp::Sub, n, 1);
+    f.branch(n, header, exit);
+    f.switch_to(exit);
+    f.ret(None);
+    let main = p.add_function(f);
+    p.finish(main).unwrap()
+}
+
+/// Under one-set caches, moving a straddling span's fetches across its
+/// data accesses shows in the counters, so every alignment of fused
+/// pairs against the I-lines must match the reference.
+#[test]
+fn straddling_fetch_order_matches_the_reference_under_one_set_caches() {
+    for pad in 1..=64 {
+        assert_bit_identical(
+            &fused_pairs_at(pad),
+            Box::new(sz_vm::SimpleLayout::new()),
+            Box::new(sz_vm::SimpleLayout::new()),
+            one_set_machine(),
+            &format!("pad {pad}"),
+        );
+    }
 }

@@ -162,10 +162,11 @@ fn out_of_fuel_is_identical_on_both_interpreters() {
     assert_eq!(e, VmError::OutOfFuel { limit: 5_000 });
 }
 
-/// A fuel limit that lands *mid-span* — the decoded interpreter has
-/// fetched a span with two or more undispatched ops remaining when the
-/// budget runs out — must fail exactly like the reference interpreter,
-/// which meters one instruction at a time.
+/// A fuel limit that lands *mid-span* must fail exactly like the
+/// reference interpreter, which meters one instruction at a time: the
+/// decoded interpreter never starts a span the budget cannot cover,
+/// and the ops the reference runs before the cut neither fail nor
+/// reach the engine.
 #[test]
 fn out_of_fuel_mid_span_is_identical_on_both_interpreters() {
     let mut p = ProgramBuilder::new("straddle");
@@ -183,6 +184,92 @@ fn out_of_fuel_mid_span_is_identical_on_both_interpreters() {
     };
     let e = assert_error_identical(&program, SimpleLayout::new, limits, "straddle/simple");
     assert_eq!(e, VmError::OutOfFuel { limit: 2 });
+}
+
+/// Generated programs that run cleanly and, between them, execute pure
+/// spans that straddle I-lines, impure straddling spans, fused
+/// load+ALU and ALU+store steps, calls, mallocs and frees.
+const FUEL_SEEDS: [u64; 6] = [151, 277, 499, 996, 2383, 2721];
+
+/// A counted loop whose header compiles to a fused compare-and-branch
+/// (the generator's loop headers fuse the compare into a load instead).
+fn cmp_branch_loop() -> Program {
+    let mut p = ProgramBuilder::new("cmp-branch");
+    let mut f = p.function("main", 0);
+    let s = f.slot();
+    f.store_slot(s, 0);
+    let header = f.new_block();
+    let body = f.new_block();
+    let exit = f.new_block();
+    f.jump(header);
+    f.switch_to(header);
+    let i = f.load_slot(s);
+    let next = f.alu(AluOp::Add, i, 1);
+    let c = f.alu(AluOp::CmpLt, next, 6);
+    f.branch(c, body, exit);
+    f.switch_to(body);
+    f.store_slot(s, next);
+    f.jump(header);
+    f.switch_to(exit);
+    f.ret(Some(i.into()));
+    let main = p.add_function(f);
+    p.finish(main).unwrap()
+}
+
+/// Runs `program` at every budget from 1 to its clean retirement
+/// count. Every budget below the count must stop both interpreters
+/// with `OutOfFuel` at that budget and identical engine-observed
+/// counters; at exactly the count both must finish with equal reports.
+fn sweep_every_budget<E: LayoutEngine>(
+    program: &Program,
+    make_engine: impl Fn() -> E,
+    label: &str,
+) {
+    let machine = MachineConfig::tiny();
+    let clean = Vm::new(program)
+        .run(&mut make_engine(), machine, RunLimits::default())
+        .unwrap_or_else(|e| panic!("{label}: clean run failed: {e}"))
+        .instructions;
+    for budget in 1..clean {
+        let limits = RunLimits {
+            max_instructions: budget,
+            max_stack_depth: 1_000,
+        };
+        let e = assert_error_identical(program, &make_engine, limits, &format!("{label}@{budget}"));
+        assert_eq!(e, VmError::OutOfFuel { limit: budget }, "{label}@{budget}");
+    }
+    let limits = RunLimits {
+        max_instructions: clean,
+        max_stack_depth: 1_000,
+    };
+    let mut a = SpyEngine::new(make_engine());
+    let decoded = Vm::new(program).run(&mut a, machine, limits);
+    let mut b = SpyEngine::new(make_engine());
+    let reference = run_reference(program, &mut b, machine, limits);
+    assert_eq!(decoded.expect(label), reference.expect(label), "{label}");
+    assert_eq!(a.trace, b.trace, "{label}");
+}
+
+/// The fuzz fuel sweep tries three budgets per program; this tries
+/// them all, so every span is cut at each of its ops.
+#[test]
+fn every_fuel_budget_cuts_identically_on_both_interpreters() {
+    let machine = MachineConfig::tiny();
+    let programs = FUEL_SEEDS
+        .iter()
+        .map(|&seed| (seed, sz_fuzz::generate(seed)))
+        .chain([(0, cmp_branch_loop())]);
+    for (seed, program) in programs {
+        sweep_every_budget(&program, SimpleLayout::new, &format!("simple/{seed}"));
+        // A very short interval re-randomizes at most function entries,
+        // so spans straddle lines differently from period to period.
+        let (prepared, info) = prepare_program(&program);
+        let config = Config::default()
+            .with_interval(SimTime::from_nanos(50.0))
+            .with_seed(seed);
+        let make = || Stabilizer::new(config.clone(), &machine, &info);
+        sweep_every_budget(&prepared, make, &format!("stabilizer/{seed}"));
+    }
 }
 
 /// Delegates to [`SimpleLayout`] but plants the stack low, so a deep
