@@ -74,6 +74,12 @@ fn main() {
     });
     out.push_str(&shuffle.render("allocator/shuffle256_over_segregated"));
     out.push('\n');
+    out.push_str(
+        &shuffle_fill(SegregatedAllocator::new).render("allocator/shuffle256_fill_segregated"),
+    );
+    out.push('\n');
+    out.push_str(&shuffle_fill(TlsfAllocator::new).render("allocator/shuffle256_fill_tlsf"));
+    out.push('\n');
 
     // Memory-system and predictor simulation speed.
     let mut m = MemorySystem::new(MachineConfig::core_i3_550());
@@ -258,6 +264,17 @@ fn main() {
         &loadgen,
         &opts,
     );
+}
+
+/// Times the first malloc on a fresh 256-slot shuffling layer over a
+/// base built by `new_base`: the layer fills the size class with 256
+/// base mallocs, so the base allocator's malloc cost counts 256 times.
+fn shuffle_fill<A: Allocator>(new_base: impl Fn(Region) -> A) -> Measurement {
+    bench(|| {
+        let base = new_base(Region::new(0x1000, 1 << 30));
+        let mut layer = ShuffleLayer::new(base, 256, Marsaglia::seeded(1));
+        black_box(layer.malloc(black_box(64)));
+    })
 }
 
 /// Drives the sz-serve load generator against an in-process server

@@ -175,19 +175,22 @@ pub struct ProgramVerdict {
     pub baseline_instructions: Option<u64>,
 }
 
-/// Runs `program` under one engine through BOTH interpreters and
-/// compares them: bit-for-bit on success, by error class otherwise.
+/// Runs `vm`'s program under one engine through BOTH interpreters —
+/// the decoded `vm` and the reference on `vm.program()` — and compares
+/// them: bit-for-bit on success, by error class otherwise. Taking the
+/// decoded VM lets a caller that runs one program under several
+/// engines decode it once.
 fn run_both(
-    program: &Program,
+    vm: &Vm,
     engine_factory: impl Fn() -> Box<dyn LayoutEngine>,
     label: &'static str,
     seed: u64,
 ) -> Result<(ArchResult, Option<u64>), Divergence> {
     let machine = MachineConfig::tiny();
     let mut e1 = engine_factory();
-    let decoded = Vm::new(program).run(e1.as_mut(), machine, FUZZ_LIMITS);
+    let decoded = vm.run(e1.as_mut(), machine, FUZZ_LIMITS);
     let mut e2 = engine_factory();
-    let reference = run_reference(program, e2.as_mut(), machine, FUZZ_LIMITS);
+    let reference = run_reference(vm.program(), e2.as_mut(), machine, FUZZ_LIMITS);
     let mismatch = match (&decoded, &reference) {
         (Ok(a), Ok(b)) => a != b,
         _ => arch(&decoded) != arch(&reference),
@@ -269,13 +272,13 @@ pub fn recheck_class(program: &Program, seed: u64, class: DivergenceClass) -> Op
         DivergenceKind::InterpreterMismatch => {
             let outcome = match class.engine {
                 "simple" => run_both(
-                    program,
+                    &Vm::new(program),
                     || Box::new(sz_vm::SimpleLayout::new()),
                     "simple",
                     seed,
                 ),
                 "linked-default" => run_both(
-                    program,
+                    &Vm::new(program),
                     || {
                         Box::new(
                             LinkedLayout::builder()
@@ -287,7 +290,7 @@ pub fn recheck_class(program: &Program, seed: u64, class: DivergenceClass) -> Op
                     seed,
                 ),
                 "linked-shuffled" => run_both(
-                    program,
+                    &Vm::new(program),
                     || {
                         Box::new(
                             LinkedLayout::builder()
@@ -298,15 +301,18 @@ pub fn recheck_class(program: &Program, seed: u64, class: DivergenceClass) -> Op
                     class.engine,
                     seed,
                 ),
-                GlobalAlias::LABEL => {
-                    run_both(program, || Box::new(GlobalAlias::new()), class.engine, seed)
-                }
+                GlobalAlias::LABEL => run_both(
+                    &Vm::new(program),
+                    || Box::new(GlobalAlias::new()),
+                    class.engine,
+                    seed,
+                ),
                 stab_label => {
                     let machine = MachineConfig::tiny();
                     let (prepared, info) = prepare_program(program);
                     let config = stab_config(stab_label);
                     run_both(
-                        &prepared,
+                        &Vm::new(&prepared),
                         || {
                             Box::new(Stabilizer::new(
                                 config.clone().with_seed(seed),
@@ -459,6 +465,10 @@ pub fn fuel_sweep_check(
 /// agree with the baseline on the architectural result, and both
 /// interpreters must agree under every engine.
 ///
+/// The check decodes two programs, once each: `program`, which the
+/// baseline, link-order and injected engines run, and its STABILIZER-
+/// prepared form, which the three STABILIZER engines run.
+///
 /// With `inject_global_alias`, a deliberately wrong seventh engine
 /// ([`GlobalAlias`]) joins the matrix — the CI negative control that
 /// proves the pipeline detects and shrinks real divergences.
@@ -468,14 +478,11 @@ pub fn check_program(
     inject_global_alias: bool,
 ) -> Result<ProgramVerdict, Divergence> {
     let machine = MachineConfig::tiny();
+    let vm = Vm::new(program);
 
     // Baseline: the unrandomized bump-allocator engine.
-    let (expected, baseline_instructions) = run_both(
-        program,
-        || Box::new(sz_vm::SimpleLayout::new()),
-        "simple",
-        seed,
-    )?;
+    let (expected, baseline_instructions) =
+        run_both(&vm, || Box::new(sz_vm::SimpleLayout::new()), "simple", seed)?;
 
     // Link-order engines (real allocator underneath).
     let linked: [(&'static str, LinkOrder); 2] = [
@@ -484,7 +491,7 @@ pub fn check_program(
     ];
     for (label, order) in linked {
         let (got, _) = run_both(
-            program,
+            &vm,
             || Box::new(LinkedLayout::builder().link_order(order.clone()).build()),
             label,
             seed,
@@ -504,6 +511,7 @@ pub fn check_program(
     // must also be semantics-preserving), one per base allocator. The
     // segregated configuration re-randomizes aggressively mid-run.
     let (prepared, info) = prepare_program(program);
+    let prepared_vm = Vm::new(&prepared);
     let stab: [(&'static str, Config); 3] = [
         (
             "stabilizer-segregated-rerand",
@@ -526,7 +534,7 @@ pub fn check_program(
     ];
     for (label, config) in stab {
         let (got, _) = run_both(
-            &prepared,
+            &prepared_vm,
             || {
                 Box::new(Stabilizer::new(
                     config.clone().with_seed(seed),
@@ -551,7 +559,7 @@ pub fn check_program(
     // The negative control, when armed.
     if inject_global_alias {
         let (got, _) = run_both(
-            program,
+            &vm,
             || Box::new(GlobalAlias::new()),
             GlobalAlias::LABEL,
             seed,

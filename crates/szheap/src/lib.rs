@@ -6,7 +6,9 @@
 //!
 //! - [`SegregatedAllocator`] — the power-of-two, size-segregated base
 //!   allocator the paper uses by default;
-//! - [`TlsfAllocator`] — the optional two-level segregated-fits base;
+//! - [`TlsfAllocator`] — the optional two-level segregated-fits base,
+//!   with Masmano et al.'s constant-time bitmap search over its free
+//!   lists;
 //! - [`DieHardAllocator`] — the bitmap-based randomized allocator
 //!   STABILIZER was originally built on (and §3.2's randomness
 //!   reference point);

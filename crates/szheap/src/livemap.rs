@@ -1,17 +1,19 @@
 //! An open-addressed live-allocation table for the shuffling layer and
-//! the segregated base allocator.
+//! the segregated and TLSF base allocators.
 //!
 //! [`crate::ShuffleLayer`] and [`crate::SegregatedAllocator`] must
 //! remember the requested size of every address they have handed out
-//! so `free` can route the object back to its size class. A
-//! `HashMap<u64, u64>` does the job but pays SipHash plus bucket
-//! indirection on *every* malloc and free — the two operations
+//! so `free` can route the object back to its size class;
+//! [`crate::TlsfAllocator`] maps each live address to its block's slab
+//! index. A `HashMap<u64, u64>` does the job but pays SipHash plus
+//! bucket indirection on *every* malloc and free — the two operations
 //! STABILIZER's shuffling adds to each heap call. This
-//! table exploits what the generic map cannot: keys are size-class-
-//! aligned simulated addresses (the base allocators align every block
-//! to its power-of-two class, 16 bytes minimum), so a single
-//! multiplicative hash of the address scatters them uniformly, and
-//! linear probing over one flat slab stays in cache.
+//! table exploits what the generic map cannot: keys are aligned
+//! simulated addresses (the segregated base aligns every block to its
+//! power-of-two class, 16 bytes minimum; TLSF's blocks are 16-byte
+//! aligned), so a single multiplicative hash of the address scatters
+//! them uniformly, and linear probing over one flat slab stays in
+//! cache.
 //!
 //! Deletion uses backward-shift compaction rather than tombstones, so
 //! the table never degrades no matter how many malloc/free cycles a
@@ -26,7 +28,8 @@ const EMPTY: u64 = u64::MAX;
 /// Fibonacci hashing constant (2^64 / φ, odd).
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// An open-addressed `address -> requested size` map.
+/// An open-addressed `address -> u64` map (a requested size, or for
+/// TLSF a slab index).
 #[derive(Debug, Clone)]
 pub struct LiveMap {
     keys: Box<[u64]>,

@@ -5,23 +5,44 @@
 //! splits and coalesces blocks, so its address patterns differ — which
 //! is exactly why the shuffling layer, not the base, must provide the
 //! randomness.
+//!
+//! The search is Masmano et al.'s: free lists are indexed by a first
+//! level (the size's power of two) and a second level (one of 16
+//! subdivisions of it), and two bitmaps mark the non-empty lists, so
+//! the lowest non-empty list above a request is two find-first-set
+//! operations away. The fit policy is good fit. The request's own list
+//! holds sizes on both sides of the request, so it is scanned in order
+//! for the first block that fits; failing that, the first block of the
+//! lowest non-empty list above it is taken, and every block there
+//! fits. Block metadata lives in a slab addressed by index, physical
+//! neighbours are slab indices, and each free block knows its position
+//! in its list, so everything but that own-list scan is constant time.
 
-use std::collections::HashMap;
-
-use crate::{Allocator, Region};
+use crate::{Allocator, LiveMap, Region};
 
 /// log2 of the number of second-level subdivisions per first level.
 const SL_LOG: u32 = 4;
+/// Second-level lists per first level.
+const SL_COUNT: usize = 1 << SL_LOG;
+/// First levels: one per bit of a `u64` size.
+const FL_COUNT: usize = 64;
 /// Minimum block size (and the alignment guarantee).
 const MIN_BLOCK: u64 = 16;
 /// Size of each pool carved from the region when the allocator grows.
 const POOL_BYTES: u64 = 1 << 20;
 
+/// One physical block, free or live, in the allocator's slab.
 #[derive(Debug, Clone)]
-struct BlockMeta {
+struct Block {
+    addr: u64,
     size: u64,
-    prev_phys: Option<u64>,
-    next_phys: Option<u64>,
+    /// Bytes the caller asked for, while the block is live.
+    requested: u64,
+    /// Slab indices of the physical neighbours within the pool.
+    prev_phys: Option<usize>,
+    next_phys: Option<usize>,
+    /// Index in its free list, while the block is free.
+    list_pos: usize,
     free: bool,
 }
 
@@ -30,10 +51,21 @@ struct BlockMeta {
 #[derive(Debug, Clone)]
 pub struct TlsfAllocator {
     region: Region,
-    blocks: HashMap<u64, BlockMeta>,
-    /// `free_lists[fl][sl]` holds addresses of free blocks.
-    free_lists: Vec<Vec<Vec<u64>>>,
-    live: HashMap<u64, u64>,
+    /// Every block; merged-away blocks leave their slot in `spare`.
+    blocks: Vec<Block>,
+    spare: Vec<usize>,
+    /// `free_lists[fl * SL_COUNT + sl]` holds slab indices of free
+    /// blocks in push / `swap_remove` order.
+    free_lists: Vec<Vec<usize>>,
+    /// Bit `fl` is set iff `sl_bitmap[fl]` is non-zero.
+    fl_bitmap: u64,
+    /// Bit `sl` of `sl_bitmap[fl]` is set iff that list is non-empty.
+    sl_bitmap: [u16; FL_COUNT],
+    /// Live address -> slab index of its block. Only `malloc` inserts
+    /// keys; a guest-supplied address is only ever looked up, so no
+    /// input can craft colliding keys, and the SipHash a `HashMap`
+    /// would pay to resist that buys nothing here.
+    live: LiveMap,
     live_bytes: u64,
 }
 
@@ -42,9 +74,12 @@ impl TlsfAllocator {
     pub fn new(region: Region) -> Self {
         TlsfAllocator {
             region,
-            blocks: HashMap::new(),
-            free_lists: vec![vec![Vec::new(); 1 << SL_LOG]; 64],
-            live: HashMap::new(),
+            blocks: Vec::new(),
+            spare: Vec::new(),
+            free_lists: vec![Vec::new(); FL_COUNT * SL_COUNT],
+            fl_bitmap: 0,
+            sl_bitmap: [0; FL_COUNT],
+            live: LiveMap::new(),
             live_bytes: 0,
         }
     }
@@ -60,58 +95,104 @@ impl TlsfAllocator {
         (fl as usize, sl)
     }
 
-    fn insert_free(&mut self, addr: u64) {
-        let size = self.blocks[&addr].size;
-        let (fl, sl) = Self::mapping(size);
-        self.free_lists[fl][sl].push(addr);
-    }
-
-    fn remove_free(&mut self, addr: u64) {
-        let size = self.blocks[&addr].size;
-        let (fl, sl) = Self::mapping(size);
-        let list = &mut self.free_lists[fl][sl];
-        let pos = list
-            .iter()
-            .position(|&a| a == addr)
-            .expect("block in its free list");
-        list.swap_remove(pos);
-    }
-
-    /// Finds a free block of at least `size` bytes (good fit: smallest
-    /// list at or above the request's mapping).
-    fn find_block(&self, size: u64) -> Option<u64> {
-        let (fl0, sl0) = Self::mapping(size);
-        for fl in fl0..self.free_lists.len() {
-            let start = if fl == fl0 { sl0 } else { 0 };
-            for sl in start..(1 << SL_LOG) {
-                // A block in the request's own list may be smaller than
-                // the request (the list holds [class, next) sizes), so
-                // verify.
-                if let Some(&addr) = self.free_lists[fl][sl]
-                    .iter()
-                    .find(|&&a| self.blocks[&a].size >= size)
-                {
-                    return Some(addr);
-                }
+    /// Stores `block` in a free slab slot and returns its index.
+    fn new_block(&mut self, block: Block) -> usize {
+        match self.spare.pop() {
+            Some(b) => {
+                self.blocks[b] = block;
+                b
+            }
+            None => {
+                self.blocks.push(block);
+                self.blocks.len() - 1
             }
         }
-        None
     }
 
-    fn grow(&mut self, at_least: u64) -> Option<()> {
+    fn insert_free(&mut self, b: usize) {
+        let (fl, sl) = Self::mapping(self.blocks[b].size);
+        let list = &mut self.free_lists[fl * SL_COUNT + sl];
+        self.blocks[b].list_pos = list.len();
+        list.push(b);
+        self.sl_bitmap[fl] |= 1 << sl;
+        self.fl_bitmap |= 1 << fl;
+    }
+
+    fn remove_free(&mut self, b: usize) {
+        let (fl, sl) = Self::mapping(self.blocks[b].size);
+        let pos = self.blocks[b].list_pos;
+        let list = &mut self.free_lists[fl * SL_COUNT + sl];
+        assert_eq!(list.get(pos), Some(&b), "block in its free list");
+        list.swap_remove(pos);
+        if let Some(&moved) = list.get(pos) {
+            self.blocks[moved].list_pos = pos;
+        }
+        if list.is_empty() {
+            self.sl_bitmap[fl] &= !(1 << sl);
+            if self.sl_bitmap[fl] == 0 {
+                self.fl_bitmap &= !(1 << fl);
+            }
+        }
+    }
+
+    /// Finds a free block of at least `need` bytes (good fit: smallest
+    /// list at or above the request's mapping).
+    fn find_block(&self, need: u64) -> Option<usize> {
+        let (fl, sl) = Self::mapping(need);
+        // The request's own list holds [class, next) sizes, some of
+        // them smaller than the request, so verify.
+        if let Some(&b) = self.free_lists[fl * SL_COUNT + sl]
+            .iter()
+            .find(|&&b| self.blocks[b].size >= need)
+        {
+            return Some(b);
+        }
+        // Every block in a higher list fits: take the first block of
+        // the lowest non-empty one. `checked_shl` yields no bits above
+        // the last second level (sl = 15) or first level (fl = 63).
+        let higher_sl = self.sl_bitmap[fl] & u16::MAX.checked_shl(sl as u32 + 1).unwrap_or(0);
+        let (fl, sl_bits) = if higher_sl != 0 {
+            (fl, higher_sl)
+        } else {
+            let higher_fl = self.fl_bitmap & u64::MAX.checked_shl(fl as u32 + 1).unwrap_or(0);
+            if higher_fl == 0 {
+                return None;
+            }
+            let fl = higher_fl.trailing_zeros() as usize;
+            (fl, self.sl_bitmap[fl])
+        };
+        let sl = sl_bits.trailing_zeros() as usize;
+        Some(self.free_lists[fl * SL_COUNT + sl][0])
+    }
+
+    /// Carves a new pool of at least `at_least` bytes and returns its
+    /// block, now free.
+    fn grow(&mut self, at_least: u64) -> Option<usize> {
         let bytes = at_least.max(POOL_BYTES);
         let addr = self.region.carve(bytes, MIN_BLOCK)?;
-        self.blocks.insert(
+        let b = self.new_block(Block {
             addr,
-            BlockMeta {
-                size: bytes,
-                prev_phys: None,
-                next_phys: None,
-                free: true,
-            },
-        );
-        self.insert_free(addr);
-        Some(())
+            size: bytes,
+            requested: 0,
+            prev_phys: None,
+            next_phys: None,
+            list_pos: 0,
+            free: true,
+        });
+        self.insert_free(b);
+        Some(b)
+    }
+
+    /// Absorbs block `hi` into its physical predecessor `lo` and
+    /// recycles `hi`'s slab slot.
+    fn merge(&mut self, lo: usize, hi: usize) {
+        let (size, after) = (self.blocks[hi].size, self.blocks[hi].next_phys);
+        self.blocks[lo].size += size;
+        self.blocks[lo].next_phys = after;
+        if let Some(after) = after {
+            self.blocks[after].prev_phys = Some(lo);
+        }
+        self.spare.push(hi);
     }
 
     /// `size` rounded up to whole minimum blocks; `None` when that
@@ -125,44 +206,38 @@ impl Allocator for TlsfAllocator {
     fn malloc(&mut self, size: u64) -> Option<u64> {
         assert!(size > 0, "zero-size allocation");
         let need = Self::round(size)?;
-        let addr = match self.find_block(need) {
-            Some(a) => a,
-            None => {
-                self.grow(need)?;
-                self.find_block(need)?
-            }
+        // When the search fails, the new pool is the only block that
+        // fits.
+        let b = match self.find_block(need) {
+            Some(b) => b,
+            None => self.grow(need)?,
         };
-        self.remove_free(addr);
-        let meta = self.blocks.get_mut(&addr).expect("found block exists");
-        meta.free = false;
-        let block_size = meta.size;
+        self.remove_free(b);
+        let block = &mut self.blocks[b];
+        block.free = false;
+        block.requested = size;
+        let (addr, block_size, old_next) = (block.addr, block.size, block.next_phys);
 
         // Split if the remainder is usable.
-        if block_size >= need + MIN_BLOCK {
-            let rest_addr = addr + need;
-            let rest_size = block_size - need;
-            let old_next = meta.next_phys;
-            meta.size = need;
-            meta.next_phys = Some(rest_addr);
-            self.blocks.insert(
-                rest_addr,
-                BlockMeta {
-                    size: rest_size,
-                    prev_phys: Some(addr),
-                    next_phys: old_next,
-                    free: true,
-                },
-            );
+        if block_size - need >= MIN_BLOCK {
+            block.size = need;
+            let rest = self.new_block(Block {
+                addr: addr + need,
+                size: block_size - need,
+                requested: 0,
+                prev_phys: Some(b),
+                next_phys: old_next,
+                list_pos: 0,
+                free: true,
+            });
+            self.blocks[b].next_phys = Some(rest);
             if let Some(next) = old_next {
-                self.blocks
-                    .get_mut(&next)
-                    .expect("physical neighbor exists")
-                    .prev_phys = Some(rest_addr);
+                self.blocks[next].prev_phys = Some(rest);
             }
-            self.insert_free(rest_addr);
+            self.insert_free(rest);
         }
 
-        self.live.insert(addr, size);
+        self.live.insert(addr, b as u64);
         self.live_bytes += size;
         Some(addr)
     }
@@ -172,45 +247,29 @@ impl Allocator for TlsfAllocator {
     }
 
     fn try_free(&mut self, addr: u64) -> bool {
-        let Some(size) = self.live.remove(&addr) else {
+        let Some(b) = self.live.remove(addr) else {
             return false;
         };
-        self.live_bytes -= size;
-
-        let mut addr = addr;
-        self.blocks
-            .get_mut(&addr)
-            .expect("live block has metadata")
-            .free = true;
+        let mut b = b as usize;
+        self.live_bytes -= self.blocks[b].requested;
+        self.blocks[b].free = true;
 
         // Coalesce with the next physical block.
-        if let Some(next) = self.blocks[&addr].next_phys {
-            if self.blocks[&next].free {
+        if let Some(next) = self.blocks[b].next_phys {
+            if self.blocks[next].free {
                 self.remove_free(next);
-                let next_meta = self.blocks.remove(&next).expect("neighbor exists");
-                let meta = self.blocks.get_mut(&addr).expect("block exists");
-                meta.size += next_meta.size;
-                meta.next_phys = next_meta.next_phys;
-                if let Some(nn) = next_meta.next_phys {
-                    self.blocks.get_mut(&nn).expect("neighbor exists").prev_phys = Some(addr);
-                }
+                self.merge(b, next);
             }
         }
         // Coalesce with the previous physical block.
-        if let Some(prev) = self.blocks[&addr].prev_phys {
-            if self.blocks[&prev].free {
+        if let Some(prev) = self.blocks[b].prev_phys {
+            if self.blocks[prev].free {
                 self.remove_free(prev);
-                let meta = self.blocks.remove(&addr).expect("block exists");
-                let prev_meta = self.blocks.get_mut(&prev).expect("neighbor exists");
-                prev_meta.size += meta.size;
-                prev_meta.next_phys = meta.next_phys;
-                if let Some(nn) = meta.next_phys {
-                    self.blocks.get_mut(&nn).expect("neighbor exists").prev_phys = Some(prev);
-                }
-                addr = prev;
+                self.merge(prev, b);
+                b = prev;
             }
         }
-        self.insert_free(addr);
+        self.insert_free(b);
         true
     }
 
@@ -229,6 +288,26 @@ mod tests {
 
     fn alloc() -> TlsfAllocator {
         TlsfAllocator::new(Region::new(0x200_0000, 1 << 26))
+    }
+
+    /// The bitmaps mark exactly the non-empty lists, and every listed
+    /// block is free, in the list its size maps to, at its `list_pos`.
+    fn assert_index_consistent(a: &TlsfAllocator) {
+        for fl in 0..FL_COUNT {
+            for sl in 0..SL_COUNT {
+                let list = &a.free_lists[fl * SL_COUNT + sl];
+                let bit = (a.sl_bitmap[fl] >> sl) & 1 == 1;
+                assert_eq!(bit, !list.is_empty(), "sl bit ({fl}, {sl})");
+                for (pos, &b) in list.iter().enumerate() {
+                    let block = &a.blocks[b];
+                    assert!(block.free);
+                    assert_eq!(block.list_pos, pos);
+                    assert_eq!(TlsfAllocator::mapping(block.size), (fl, sl));
+                }
+            }
+            let bit = (a.fl_bitmap >> fl) & 1 == 1;
+            assert_eq!(bit, a.sl_bitmap[fl] != 0, "fl bit {fl}");
+        }
     }
 
     #[test]
@@ -297,7 +376,7 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for _ in 0..2000 {
+        for step in 0..2000 {
             if live.len() < 50 || next() % 2 == 0 {
                 let size = 1 + next() % 2000;
                 let addr = a.malloc(size).unwrap();
@@ -310,7 +389,11 @@ mod tests {
                 let (addr, _) = live.swap_remove(idx);
                 a.free(addr);
             }
+            if step % 50 == 0 {
+                assert_index_consistent(&a);
+            }
         }
+        assert_index_consistent(&a);
         let total: u64 = live.iter().map(|&(_, s)| s).sum();
         assert_eq!(a.live_bytes(), total);
     }
