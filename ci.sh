@@ -89,14 +89,8 @@ echo "==> throughput gate: bench_gate verdicts vs committed baseline (band ±${S
 # — the whole CI must clear the equivalence band, so one noisy CI run
 # can neither fail the build nor hide a real regression. On failure it
 # prints the full verdict metadata (ratio CI, Welch CI, band, seed,
-# samples per arm). Tune with SZ_GATE_BAND (default 0.20). The
-# --history file gives the gate memory across runs: each invocation
-# appends its fresh sample sets and a sentinel change-point pass over
-# the per-entry trajectory fails the build if the *latest* entry is a
-# robustly-slower shift — catching slow drift that each individual
-# baseline comparison would wave through.
+# samples per arm). Tune with SZ_GATE_BAND (default 0.20).
 SZ_GATE_BAND="${SZ_GATE_BAND:-}" cargo run -q --release --offline -p sz-bench --bin bench_gate -- \
-    --history paper-results/BENCH_history.jsonl \
     --baseline BENCH_sim.json \
     target/BENCH_sim.1.json target/BENCH_sim.2.json target/BENCH_sim.3.json
 
@@ -173,67 +167,5 @@ echo "==> loadgen smoke: 512 concurrent clients against a spawned server"
 # section of BENCH_sim.json, judged by bench_gate alongside the
 # interpreter metrics).
 target/release/sz-loadgen --spawn --clients 512 --requests 4 --waves 3
-
-echo "==> federation smoke: coordinator + 2 nodes, byte-identical shard merge"
-# Spawn a single-node reference, two workers, and a coordinator that
-# shards across them; the coordinator-merged evaluate transcript must
-# be byte-identical to the single-node run, and one szctl --peers
-# shutdown must stop the whole fleet cleanly.
-serve_wait_addr() {
-    _SA=""
-    for _ in $(seq 1 100); do
-        _SA="$(sed -n 's/^sz-serve listening on //p' "$1")"
-        [ -n "$_SA" ] && break
-        sleep 0.1
-    done
-    [ -n "$_SA" ] || { echo "sz-serve did not start ($1)"; cat "$1"; exit 1; }
-    echo "$_SA"
-}
-SERVE="target/release/sz-serve"
-"$SERVE" --addr 127.0.0.1:0 --workers 1 >target/fed-single.log 2>&1 &
-FED_SINGLE_PID=$!
-"$SERVE" --addr 127.0.0.1:0 --workers 1 --role node >target/fed-node-a.log 2>&1 &
-FED_A_PID=$!
-"$SERVE" --addr 127.0.0.1:0 --workers 1 --role node >target/fed-node-b.log 2>&1 &
-FED_B_PID=$!
-trap 'kill "$FED_SINGLE_PID" "$FED_A_PID" "$FED_B_PID" ${FED_COORD_PID:-} 2>/dev/null || true' EXIT
-SINGLE_ADDR="$(serve_wait_addr target/fed-single.log)"
-NODE_A_ADDR="$(serve_wait_addr target/fed-node-a.log)"
-NODE_B_ADDR="$(serve_wait_addr target/fed-node-b.log)"
-"$SERVE" --addr 127.0.0.1:0 --workers 1 --role coordinator \
-    --peers "$NODE_A_ADDR,$NODE_B_ADDR" >target/fed-coord.log 2>&1 &
-FED_COORD_PID=$!
-COORD_ADDR="$(serve_wait_addr target/fed-coord.log)"
-"$SZCTL" --addr "$SINGLE_ADDR" --json run evaluate --bench bzip2 --runs 4 --trace \
-    >target/fed-single.jsonl
-"$SZCTL" --addr "$COORD_ADDR" --json run evaluate --bench bzip2 --runs 4 --trace \
-    >target/fed-merged.jsonl
-python3 - target/fed-single.jsonl target/fed-merged.jsonl <<'EOF'
-import json, sys
-single = open(sys.argv[1]).read().splitlines()
-merged = open(sys.argv[2]).read().splitlines()
-assert len(single) > 1, "single-node run streamed no trace lines"
-assert single[:-1] == merged[:-1], "merged trace is not byte-identical"
-s, m = json.loads(single[-1]), json.loads(merged[-1])
-assert s["summary"] == m["summary"], "verdict summaries differ"
-assert m["cached"] is False, "coordinator run must be a cold fan-out"
-print(f"federation smoke: {len(single) - 1} trace lines byte-identical, verdicts match")
-EOF
-"$SZCTL" --addr "$COORD_ADDR" --json stats | grep -q '"shard_fanouts":1' \
-    || { echo "coordinator did not shard the run"; exit 1; }
-"$SZCTL" --addr "$COORD_ADDR" --peers "$NODE_A_ADDR,$NODE_B_ADDR" shutdown >/dev/null
-"$SZCTL" --addr "$SINGLE_ADDR" shutdown >/dev/null
-for PID in "$FED_SINGLE_PID" "$FED_A_PID" "$FED_B_PID" "$FED_COORD_PID"; do
-    for _ in $(seq 1 100); do
-        kill -0 "$PID" 2>/dev/null || break
-        sleep 0.1
-    done
-    if kill -0 "$PID" 2>/dev/null; then
-        echo "federation process $PID did not shut down within 10s"
-        exit 1
-    fi
-done
-trap - EXIT
-echo "federation smoke: sharded run merged bit-identically, fleet shut down cleanly"
 
 echo "ci.sh: all checks passed"

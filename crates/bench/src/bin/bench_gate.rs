@@ -1,7 +1,7 @@
 //! `bench_gate` — the statistically sound throughput-regression gate.
 //!
 //! ```text
-//! bench_gate [--gates a,b] [--history FILE] --baseline BENCH_sim.json fresh1.json fresh2.json ...
+//! bench_gate [--gates a,b] --baseline BENCH_sim.json fresh1.json fresh2.json ...
 //! ```
 //!
 //! Replaces the old fixed "median > baseline × 1.20 fails" rule with a
@@ -23,24 +23,13 @@
 //! latency gate against freshly measured files without re-reading the
 //! interpreter sections.
 //!
-//! `--history FILE` gives the gate memory: each invocation appends
-//! one `gate_run` JSONL entry carrying the pooled fresh sample set
-//! per gate, and the sentinel's change-point detector then judges
-//! the whole trajectory — per-entry means through the same rolling
-//! two-window bootstrap verdict. A robustly-slower call landing on
-//! the entry just appended fails the gate even when the pairwise
-//! baseline comparison passed (slow drift: each step inside the
-//! band, the trajectory not).
-//!
 //! Requires `schema_version` >= 5 baselines (per-sample arrays; the
 //! `loadgen` gate needs >= 6); exit codes: 0 pass, 1 regression,
 //! 2 usage/parse error.
 
-use std::io::Write;
 use std::process::ExitCode;
 
 use sz_harness::{fmt_verdict, Json};
-use sz_sentinel::{ChangeConfig, ChangePointDetector};
 use sz_stats::{judge_hierarchical, EffectVerdict, VerdictConfig};
 
 /// Fixed bootstrap seed so gate verdicts are reproducible bit-for-bit
@@ -80,40 +69,25 @@ fn samples(doc: &Json, section: &str, key: &str, path: &str) -> Result<Vec<f64>,
 fn run() -> Result<bool, String> {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut selected: Option<Vec<String>> = None;
-    let mut history_path: Option<String> = None;
-    loop {
-        match args.first().map(String::as_str) {
-            Some("--gates") => {
-                if args.len() < 2 {
-                    return Err("--gates needs a comma-separated label list".to_string());
-                }
-                let list: Vec<String> = args[1].split(',').map(str::to_string).collect();
-                for label in &list {
-                    if !GATES.iter().any(|(l, _, _)| l == label) {
-                        return Err(format!("unknown gate label {label:?}"));
-                    }
-                }
-                args.drain(..2);
-                selected = Some(list);
-            }
-            Some("--history") => {
-                if args.len() < 2 {
-                    return Err("--history needs a file path".to_string());
-                }
-                history_path = Some(args[1].clone());
-                args.drain(..2);
-            }
-            _ => break,
+    if args.first().is_some_and(|a| a == "--gates") {
+        if args.len() < 2 {
+            return Err("--gates needs a comma-separated label list".to_string());
         }
+        let list: Vec<String> = args[1].split(',').map(str::to_string).collect();
+        for label in &list {
+            if !GATES.iter().any(|(l, _, _)| l == label) {
+                return Err(format!("unknown gate label {label:?}"));
+            }
+        }
+        args.drain(..2);
+        selected = Some(list);
     }
     let (baseline_path, fresh_paths) = match args.split_first() {
         Some((flag, rest)) if flag == "--baseline" && rest.len() >= 2 => (&rest[0], &rest[1..]),
         _ => {
-            return Err(
-                "usage: bench_gate [--gates a,b] [--history FILE] --baseline BENCH_sim.json \
+            return Err("usage: bench_gate [--gates a,b] --baseline BENCH_sim.json \
                  fresh1.json [fresh2.json ...]"
-                    .to_string(),
-            )
+                .to_string())
         }
     };
     let band = match std::env::var("SZ_GATE_BAND") {
@@ -143,7 +117,6 @@ fn run() -> Result<bool, String> {
         .collect::<Result<_, _>>()?;
 
     let mut failed = Vec::new();
-    let mut history_entry: Vec<(&str, Vec<f64>)> = Vec::new();
     for (label, section, key) in GATES {
         if selected
             .as_ref()
@@ -156,7 +129,6 @@ fn run() -> Result<bool, String> {
             .iter()
             .map(|(p, doc)| samples(doc, section, key, p))
             .collect::<Result<_, _>>()?;
-        history_entry.push((label, fresh_arm.iter().flatten().copied().collect()));
         // Arm `a` is the committed baseline, `b` the fresh runs, so
         // ratio > 1 means fresh got faster and robustly-slower means
         // the whole CI clears the band in the wrong direction.
@@ -180,127 +152,10 @@ fn run() -> Result<bool, String> {
             ));
         }
     }
-    if let Some(path) = &history_path {
-        append_history(path, band, &history_entry)?;
-        failed.extend(judge_history(path, &cfg)?);
-    }
     for f in &failed {
         eprintln!("bench_gate FAIL: {f}");
     }
     Ok(failed.is_empty())
-}
-
-/// Appends one `gate_run` JSONL entry: the pooled fresh sample array
-/// of every gate judged this invocation.
-fn append_history(path: &str, band: f64, entry: &[(&str, Vec<f64>)]) -> Result<(), String> {
-    let gates = Json::Obj(
-        entry
-            .iter()
-            .map(|(label, samples)| {
-                (
-                    label.to_string(),
-                    Json::obj([(
-                        "samples",
-                        Json::Arr(samples.iter().map(|&v| Json::F64(v)).collect()),
-                    )]),
-                )
-            })
-            .collect(),
-    );
-    let record = Json::obj([
-        ("type", "gate_run".into()),
-        ("schema", 6u64.into()),
-        ("band", band.into()),
-        ("gates", gates),
-    ]);
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("{path}: {e}"))?;
-    writeln!(file, "{record}").map_err(|e| format!("{path}: {e}"))?;
-    Ok(())
-}
-
-/// How many history entries a trajectory verdict needs per window.
-const HISTORY_WINDOW: usize = 4;
-
-/// Replays the whole history through the sentinel's change-point
-/// detector, one trajectory per gate (per-entry mean of the pooled
-/// samples). Returns gate failures: a robustly-slower call landing on
-/// the entry appended by *this* invocation.
-fn judge_history(path: &str, cfg: &VerdictConfig) -> Result<Vec<String>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut trajectories: Vec<(String, Vec<f64>)> = Vec::new();
-    for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        let record = Json::parse(line).map_err(|e| format!("{path}: {e:?}"))?;
-        if record.get("type").and_then(Json::as_str) != Some("gate_run") {
-            continue;
-        }
-        let Some(Json::Obj(gates)) = record.get("gates") else {
-            continue;
-        };
-        for (label, gate) in gates {
-            let Some(arr) = gate.get("samples").and_then(Json::as_arr) else {
-                continue;
-            };
-            let samples: Vec<f64> = arr.iter().filter_map(Json::as_f64).collect();
-            if samples.is_empty() {
-                continue;
-            }
-            let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-            match trajectories.iter_mut().find(|(l, _)| l == label) {
-                Some((_, series)) => series.push(mean),
-                None => trajectories.push((label.clone(), vec![mean])),
-            }
-        }
-    }
-    let mut failures = Vec::new();
-    for (label, series) in &trajectories {
-        let mut detector = ChangePointDetector::new(ChangeConfig {
-            window: HISTORY_WINDOW,
-            capacity: 64,
-            verdict: *cfg,
-        });
-        let mut last_alert = None;
-        for &mean in series {
-            if let Some(alert) = detector.push(mean) {
-                last_alert = Some(alert);
-            }
-        }
-        match &last_alert {
-            Some(alert) if alert.at as usize == series.len() - 1 => {
-                println!(
-                    "history: {label}: {} entries, {} on the latest entry",
-                    series.len(),
-                    alert.report.verdict.as_str()
-                );
-                if alert.report.verdict == EffectVerdict::RobustlySlower {
-                    failures.push(format!(
-                        "{label} trajectory shifted robustly slower at entry {} of {}: \
-                         window means {:?} -> {:?}, ratio CI [{:.4}, {:.4}], band {:.2}",
-                        alert.at + 1,
-                        series.len(),
-                        alert.old_window,
-                        alert.new_window,
-                        alert.report.effect.lo,
-                        alert.report.effect.hi,
-                        alert.report.band,
-                    ));
-                }
-            }
-            _ if series.len() < 2 * HISTORY_WINDOW => println!(
-                "history: {label}: {} of {} entries needed for a trajectory verdict",
-                series.len(),
-                2 * HISTORY_WINDOW,
-            ),
-            _ => println!(
-                "history: {label}: {} entries, trajectory quiet",
-                series.len()
-            ),
-        }
-    }
-    Ok(failures)
 }
 
 fn main() -> ExitCode {

@@ -731,9 +731,11 @@ impl TraceSink {
     /// Creates (truncating) a JSONL trace file, stamped with a
     /// leading `{"schema":N}` header line. Streaming sinks
     /// ([`TraceSink::in_memory`] and [`TraceSink::to_writer`]) stay
-    /// headerless: server-streamed traces are concatenated across
-    /// nodes, and a mid-stream header would break byte-identity of
-    /// merged streams.
+    /// headerless: sz-serve sends a traced reply as its `run` and
+    /// `summary` records plus one terminal line, and its readers
+    /// (szctl, the server's end-to-end tests, sz-benchmark) end a
+    /// reply at the first line of any other type, so a `{"schema":1}`
+    /// line would cut every traced reply short.
     ///
     /// # Errors
     ///

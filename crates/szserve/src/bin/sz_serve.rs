@@ -3,35 +3,26 @@
 //! ```text
 //! sz-serve [--addr HOST:PORT] [--workers N] [--queue N]
 //!          [--threads N] [--cache-mb N] [--loops N]
-//!          [--role single|node|coordinator] [--peers HOST:PORT,...]
 //! ```
 //!
 //! Binds, prints `sz-serve listening on <addr>` (with the resolved
 //! port, so `--addr 127.0.0.1:0` is scriptable), then serves until a
 //! `shutdown` request arrives.
-//!
-//! `--role coordinator` shards cacheable runs and routes lookups
-//! across `--peers` (falling back to `$SZ_SERVE_PEERS`); `--role node`
-//! serves shard requests from a coordinator; the default `single`
-//! ignores any peer list.
 
 use std::process::ExitCode;
 
-use sz_serve::proto::parse_peers;
-use sz_serve::{Role, Server, ServerConfig};
+use sz_serve::{Server, ServerConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sz-serve [--addr HOST:PORT] [--workers N] [--queue N] \
-         [--threads N] [--cache-mb N] [--loops N] \
-         [--role single|node|coordinator] [--peers HOST:PORT,...]"
+         [--threads N] [--cache-mb N] [--loops N]"
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut config = ServerConfig::default();
-    let mut peers_flag: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let Some(value) = args.next() else {
@@ -59,22 +50,7 @@ fn main() -> ExitCode {
                 Ok(n) if n > 0 => config.loops = n,
                 _ => return usage(),
             },
-            "--role" => match Role::from_name(&value) {
-                Some(role) => config.federation.role = role,
-                None => return usage(),
-            },
-            "--peers" => peers_flag = Some(value),
             _ => return usage(),
-        }
-    }
-    let peers_source = peers_flag.or_else(|| std::env::var("SZ_SERVE_PEERS").ok());
-    if let Some(list) = peers_source {
-        match parse_peers(&list) {
-            Ok(peers) => config.federation.peers = peers,
-            Err(e) => {
-                eprintln!("sz-serve: {e}");
-                return ExitCode::from(2);
-            }
         }
     }
 

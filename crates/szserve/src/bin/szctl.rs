@@ -1,12 +1,12 @@
 //! `szctl` — thin client for the `sz-serve` daemon.
 //!
 //! ```text
-//! szctl [--addr HOST:PORT] [--peers H:P,...] run <experiment> [options]
+//! szctl [--addr HOST:PORT] run <experiment> [options]
 //! szctl [--addr HOST:PORT] status <job>
 //! szctl [--addr HOST:PORT] cancel <job>
-//! szctl [--addr HOST:PORT] [--peers H:P,...] stats
-//! szctl [--addr HOST:PORT] [--peers H:P,...] watch
-//! szctl [--addr HOST:PORT] [--peers H:P,...] shutdown
+//! szctl [--addr HOST:PORT] stats
+//! szctl [--addr HOST:PORT] watch
+//! szctl [--addr HOST:PORT] shutdown
 //! szctl [--addr HOST:PORT] loadgen [--clients N] [--requests N] [--waves N]
 //! ```
 //!
@@ -18,15 +18,10 @@
 //! `--sleep-ms N`, `--json` (raw JSONL instead of tables).
 //!
 //! The address defaults to `$SZ_SERVE_ADDR`, then `127.0.0.1:7457`.
-//! `--peers` (default `$SZ_SERVE_PEERS`) fans `stats` and `shutdown`
-//! out to every listed worker after the primary address — one command
-//! inspects or stops a whole federation; a fanned-out `stats` also
-//! prints one merged fleet summary (cache hit/miss totals, federation
-//! counters, connection/write errors). `watch` subscribes to the
-//! sentinel alert stream of the primary (and each `--peers` node) and
-//! relays alert lines as JSONL until the server goes away. `loadgen`
-//! drives concurrent cache-hit load against the primary address and
-//! reports latency quantiles.
+//! `watch` subscribes to the server's sentinel alert stream and relays
+//! alert lines as JSONL until the server goes away. `loadgen` drives
+//! concurrent cache-hit load against the server and reports latency
+//! quantiles.
 //!
 //! Streamed trace records are always relayed raw; the terminal line is
 //! pretty-printed unless `--json` is set. Exit code 0 for `result` /
@@ -39,12 +34,11 @@ use std::process::ExitCode;
 use sz_harness::report::render_table;
 use sz_harness::Json;
 use sz_serve::loadgen::{run_loadgen, LoadgenConfig};
-use sz_serve::proto::parse_peers;
 use sz_serve::{AdaptiveParams, Experiment, Request, RunRequest, DEFAULT_ADDR};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: szctl [--addr HOST:PORT] [--peers H:P,...] \
+        "usage: szctl [--addr HOST:PORT] \
          <run|status|cancel|stats|watch|shutdown|loadgen> ...\n\
          run <experiment> [--bench a,b] [--scale tiny|small|full] [--runs N]\n\
          \x20   [--seed N] [--interval MS] [--threads N] [--trace] [--no-wait]\n\
@@ -64,7 +58,6 @@ enum Command {
 
 struct Cli {
     addr: String,
-    peers: Vec<String>,
     json: bool,
     command: Command,
 }
@@ -82,30 +75,15 @@ fn parse_u64(value: &str) -> Option<u64> {
 
 fn parse_cli() -> Option<Cli> {
     let mut addr = std::env::var("SZ_SERVE_ADDR").unwrap_or_else(|_| DEFAULT_ADDR.to_string());
-    let mut peers_source = std::env::var("SZ_SERVE_PEERS").ok();
     let mut json = false;
     let mut args = std::env::args().skip(1).peekable();
-    while args
-        .peek()
-        .is_some_and(|a| a == "--addr" || a == "--json" || a == "--peers")
-    {
+    while args.peek().is_some_and(|a| a == "--addr" || a == "--json") {
         match args.next().as_deref() {
             Some("--addr") => addr = args.next()?,
-            Some("--peers") => peers_source = Some(args.next()?),
             Some("--json") => json = true,
             _ => return None,
         }
     }
-    let peers = match peers_source {
-        Some(list) => match parse_peers(&list) {
-            Ok(peers) => peers,
-            Err(e) => {
-                eprintln!("szctl: {e}");
-                return None;
-            }
-        },
-        None => Vec::new(),
-    };
     let command = args.next()?;
     let command = match command.as_str() {
         "stats" => Command::Request(Request::Stats),
@@ -209,7 +187,6 @@ fn parse_cli() -> Option<Cli> {
     }
     Some(Cli {
         addr,
-        peers,
         json,
         command,
     })
@@ -231,19 +208,18 @@ fn pretty_print(value: &Json) {
 }
 
 /// Sends `request` to `addr` and relays the reply stream; returns the
-/// command's exit code plus the terminal response line (when one
-/// arrived) so fan-out callers can merge across nodes.
-fn issue(addr: &str, request: &Request, json: bool) -> (ExitCode, Option<Json>) {
+/// command's exit code.
+fn issue(addr: &str, request: &Request, json: bool) -> ExitCode {
     let stream = match TcpStream::connect(addr) {
         Ok(stream) => stream,
         Err(e) => {
             eprintln!("szctl: cannot connect to {addr}: {e}");
-            return (ExitCode::FAILURE, None);
+            return ExitCode::FAILURE;
         }
     };
     let Ok(read_half) = stream.try_clone() else {
         eprintln!("szctl: cannot clone stream");
-        return (ExitCode::FAILURE, None);
+        return ExitCode::FAILURE;
     };
     let mut writer = BufWriter::new(stream);
     if writeln!(writer, "{}", request.to_json())
@@ -251,146 +227,63 @@ fn issue(addr: &str, request: &Request, json: bool) -> (ExitCode, Option<Json>) 
         .is_err()
     {
         eprintln!("szctl: send failed");
-        return (ExitCode::FAILURE, None);
+        return ExitCode::FAILURE;
     }
 
     let reader = BufReader::new(read_half);
     for line in reader.lines() {
         let Ok(line) = line else {
             eprintln!("szctl: connection lost");
-            return (ExitCode::FAILURE, None);
+            return ExitCode::FAILURE;
         };
         let Ok(value) = Json::parse(&line) else {
             eprintln!("szctl: malformed response: {line}");
-            return (ExitCode::FAILURE, None);
+            return ExitCode::FAILURE;
         };
         let ty = value.get("type").and_then(Json::as_str).unwrap_or("");
-        match ty {
+        if matches!(ty, "run" | "summary") {
             // Streamed trace records: relay raw, keep reading.
-            "run" | "summary" => println!("{line}"),
-            "error" | "rejected" => {
-                if json {
-                    println!("{line}");
-                } else {
-                    pretty_print(&value);
-                }
-                return (ExitCode::FAILURE, Some(value));
-            }
-            _ => {
-                if json {
-                    println!("{line}");
-                } else {
-                    pretty_print(&value);
-                }
-                return (ExitCode::SUCCESS, Some(value));
-            }
+            println!("{line}");
+            continue;
         }
+        if json {
+            println!("{line}");
+        } else {
+            pretty_print(&value);
+        }
+        return if matches!(ty, "error" | "rejected") {
+            ExitCode::FAILURE
+        } else {
+            ExitCode::SUCCESS
+        };
     }
     eprintln!("szctl: server closed the connection without a terminal line");
-    (ExitCode::FAILURE, None)
+    ExitCode::FAILURE
 }
 
-/// Tails the sentinel alert stream of every listed node, relaying
-/// each pushed line as raw JSONL until the servers go away.
-fn watch(addrs: &[String]) -> ExitCode {
-    let handles: Vec<std::thread::JoinHandle<bool>> = addrs
-        .iter()
-        .map(|addr| {
-            let addr = addr.clone();
-            std::thread::spawn(move || {
-                let stream = match TcpStream::connect(&addr) {
-                    Ok(stream) => stream,
-                    Err(e) => {
-                        eprintln!("szctl: cannot connect to {addr}: {e}");
-                        return false;
-                    }
-                };
-                let Ok(read_half) = stream.try_clone() else {
-                    eprintln!("szctl: cannot clone stream");
-                    return false;
-                };
-                let mut writer = BufWriter::new(stream);
-                if writeln!(writer, "{}", Request::Watch.to_json())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    eprintln!("szctl: send failed to {addr}");
-                    return false;
-                }
-                // The ack, then pushed alerts; println! locks stdout
-                // per line, so fleet streams never interleave mid-line.
-                for line in BufReader::new(read_half).lines() {
-                    match line {
-                        Ok(line) => println!("{line}"),
-                        Err(_) => break,
-                    }
-                }
-                // EOF means the server shut down — a clean end of watch.
-                true
-            })
-        })
-        .collect();
-    let ok = handles
-        .into_iter()
-        .all(|handle| handle.join().unwrap_or(false));
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+/// Tails the server's sentinel alert stream, relaying each pushed line
+/// as raw JSONL until the server goes away.
+fn watch(addr: &str) -> ExitCode {
+    let stream = match TcpStream::connect(addr) {
+        Ok(stream) => stream,
+        Err(e) => {
+            eprintln!("szctl: cannot connect to {addr}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    if writeln!(&stream, "{}", Request::Watch.to_json()).is_err() {
+        eprintln!("szctl: send failed to {addr}");
+        return ExitCode::FAILURE;
     }
-}
-
-fn sum_path(blobs: &[Json], path: &[&str]) -> u64 {
-    blobs
-        .iter()
-        .map(|blob| {
-            let mut node = blob;
-            for key in path {
-                match node.get(key) {
-                    Some(next) => node = next,
-                    None => return 0,
-                }
-            }
-            node.as_u64().unwrap_or(0)
-        })
-        .sum()
-}
-
-/// One merged row across every node's `stats` blob: totals for the
-/// cache, the federation counters, and connection-level errors.
-fn fleet_summary(blobs: &[Json]) -> Json {
-    Json::obj([
-        ("type", "fleet_summary".into()),
-        ("nodes", blobs.len().into()),
-        ("cache_hits", sum_path(blobs, &["cache", "hits"]).into()),
-        ("cache_misses", sum_path(blobs, &["cache", "misses"]).into()),
-        (
-            "shard_cache_hits",
-            sum_path(blobs, &["federation", "shard_cache_hits"]).into(),
-        ),
-        (
-            "forwarded",
-            sum_path(blobs, &["federation", "forwarded"]).into(),
-        ),
-        (
-            "forward_fallbacks",
-            sum_path(blobs, &["federation", "forward_fallbacks"]).into(),
-        ),
-        (
-            "shard_fanouts",
-            sum_path(blobs, &["federation", "shard_fanouts"]).into(),
-        ),
-        (
-            "shard_failovers",
-            sum_path(blobs, &["federation", "shard_failovers"]).into(),
-        ),
-        ("conn_errors", sum_path(blobs, &["conn_errors"]).into()),
-        ("write_errors", sum_path(blobs, &["write_errors"]).into()),
-        (
-            "sentinel_alerts",
-            sum_path(blobs, &["sentinel_alerts"]).into(),
-        ),
-    ])
+    // The ack, then pushed alerts.
+    for line in BufReader::new(stream).lines() {
+        match line {
+            Ok(line) => println!("{line}"),
+            Err(_) => break,
+        }
+    }
+    // EOF means the server shut down — a clean end of watch.
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -425,51 +318,8 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             };
         }
-        Command::Watch => {
-            let mut addrs = vec![cli.addr.clone()];
-            addrs.extend(cli.peers.iter().cloned());
-            return watch(&addrs);
-        }
+        Command::Watch => return watch(&cli.addr),
         Command::Request(request) => request,
     };
-
-    // `stats` and `shutdown` fan out across the federation; everything
-    // else targets the primary address only.
-    let fan_out = matches!(request, Request::Stats | Request::Shutdown);
-    let (mut worst, first) = issue(&cli.addr, &request, cli.json);
-    let mut stats_blobs: Vec<Json> = Vec::new();
-    let is_stats = |v: &Json| v.get("type").and_then(Json::as_str) == Some("stats");
-    if let Some(value) = first {
-        if is_stats(&value) {
-            stats_blobs.push(value);
-        }
-    }
-    if fan_out {
-        for peer in &cli.peers {
-            if !cli.json {
-                println!("-- {peer}");
-            }
-            let (code, value) = issue(peer, &request, cli.json);
-            if code != ExitCode::SUCCESS {
-                worst = code;
-            }
-            if let Some(value) = value {
-                if is_stats(&value) {
-                    stats_blobs.push(value);
-                }
-            }
-        }
-        // One merged row for the whole fleet, so an operator polling
-        // stats gets a single line of totals after the per-peer blobs.
-        if matches!(request, Request::Stats) && !cli.peers.is_empty() {
-            let summary = fleet_summary(&stats_blobs);
-            if cli.json {
-                println!("{summary}");
-            } else {
-                println!("-- fleet");
-                pretty_print(&summary);
-            }
-        }
-    }
-    worst
+    issue(&cli.addr, &request, cli.json)
 }

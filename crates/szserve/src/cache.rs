@@ -53,9 +53,6 @@ pub struct CacheKey {
     pub hash: u128,
     /// The canonical description the hash commits to.
     pub canonical: String,
-    /// Whether this key addresses a federation shard (a `run_shard`
-    /// window) rather than a full run — counted separately in stats.
-    pub shard: bool,
 }
 
 impl CacheKey {
@@ -68,9 +65,7 @@ impl CacheKey {
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
 
-/// 128-bit FNV-1a — the same hash the cache keys use. Public because
-/// the federation's consistent-hash ring places peers and routes keys
-/// with it ([`crate::ring`]).
+/// 128-bit FNV-1a — the same hash the cache keys use.
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -108,7 +103,7 @@ pub fn cache_key(spec: &RunRequest) -> CacheKey {
         }
         _ => "-".to_string(),
     };
-    let mut canonical = format!(
+    let canonical = format!(
         "experiment={};benchmarks={};scale={};runs={};seed_base={:#018x};interval_ns_bits={:016x};machine={:?};engine={:?};mode={}",
         spec.experiment.name(),
         benchmarks,
@@ -120,16 +115,9 @@ pub fn cache_key(spec: &RunRequest) -> CacheKey {
         engine,
         mode,
     );
-    // A shard is a distinct cacheable artifact: the same options with
-    // a different window produce different (sub-)transcripts. Full
-    // runs keep their exact pre-federation canonical form.
-    if let Some(shard) = &spec.shard {
-        canonical.push_str(&format!(";shard={}+{}", shard.start, shard.count));
-    }
     CacheKey {
         hash: fnv1a_128(canonical.as_bytes()),
         canonical,
-        shard: spec.shard.is_some(),
     }
 }
 
@@ -153,10 +141,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Results too large to ever fit the budget, never stored.
     pub oversize_rejections: u64,
-    /// Subset of `hits` that addressed federation shards.
-    pub shard_hits: u64,
-    /// Subset of `insertions` that stored federation shards.
-    pub shard_insertions: u64,
     /// Live entries.
     pub entries: usize,
     /// Bytes currently held.
@@ -176,8 +160,6 @@ pub struct ResultCache {
     insertions: u64,
     evictions: u64,
     oversize_rejections: u64,
-    shard_hits: u64,
-    shard_insertions: u64,
 }
 
 impl ResultCache {
@@ -193,8 +175,6 @@ impl ResultCache {
             insertions: 0,
             evictions: 0,
             oversize_rejections: 0,
-            shard_hits: 0,
-            shard_insertions: 0,
         }
     }
 
@@ -206,9 +186,6 @@ impl ResultCache {
             Some(entry) if entry.canonical == key.canonical => {
                 entry.last_used = self.clock;
                 self.hits += 1;
-                if key.shard {
-                    self.shard_hits += 1;
-                }
                 Some(Arc::clone(&entry.value))
             }
             _ => {
@@ -245,9 +222,6 @@ impl ResultCache {
         }
         self.used += bytes;
         self.insertions += 1;
-        if key.shard {
-            self.shard_insertions += 1;
-        }
         self.map.insert(
             key.hash,
             Entry {
@@ -267,8 +241,6 @@ impl ResultCache {
             insertions: self.insertions,
             evictions: self.evictions,
             oversize_rejections: self.oversize_rejections,
-            shard_hits: self.shard_hits,
-            shard_insertions: self.shard_insertions,
             entries: self.map.len(),
             bytes: self.used,
             budget_bytes: self.budget,
@@ -284,8 +256,6 @@ impl ResultCache {
             ("insertions", s.insertions.into()),
             ("evictions", s.evictions.into()),
             ("oversize_rejections", s.oversize_rejections.into()),
-            ("shard_hits", s.shard_hits.into()),
-            ("shard_insertions", s.shard_insertions.into()),
             ("entries", s.entries.into()),
             ("bytes", s.bytes.into()),
             ("budget_bytes", s.budget_bytes.into()),
@@ -373,33 +343,6 @@ mod tests {
                 assert_ne!(keys[i], keys[j], "modes {i} and {j} collide");
             }
         }
-    }
-
-    #[test]
-    fn shard_windows_key_separately_and_count_separately() {
-        let full = RunRequest::quick(Experiment::Evaluate);
-        let mut shard = full.clone();
-        shard.shard = Some(crate::proto::ShardRange { start: 0, count: 3 });
-        let mut other_window = full.clone();
-        other_window.shard = Some(crate::proto::ShardRange { start: 3, count: 3 });
-
-        let k_full = cache_key(&full);
-        let k_shard = cache_key(&shard);
-        let k_other = cache_key(&other_window);
-        assert!(!k_full.shard);
-        assert!(k_shard.shard && k_other.shard);
-        assert_ne!(k_full, k_shard, "a window is not the full run");
-        assert_ne!(k_shard, k_other, "distinct windows are distinct");
-        assert!(k_shard.canonical.ends_with(";shard=0+3"));
-
-        let mut cache = ResultCache::new(1 << 20);
-        cache.insert(&k_shard, output("s", 64));
-        cache.insert(&k_full, output("f", 64));
-        assert!(cache.get(&k_shard).is_some());
-        assert!(cache.get(&k_full).is_some());
-        let s = cache.stats();
-        assert_eq!((s.insertions, s.shard_insertions), (2, 1));
-        assert_eq!((s.hits, s.shard_hits), (2, 1));
     }
 
     #[test]

@@ -27,11 +27,11 @@
 //!   shutdown completes without waiting on silent clients.
 //!
 //! Replies that cannot be produced synchronously (a `run` with
-//! `wait: true` that queued a job, or a request forwarded to a
-//! federation peer) return [`LineOutcome::Pending`]; the connection
-//! defers any further input lines until the owner pushes the reply
-//! through [`Completions::send`], preserving the one-reply-per-line
-//! ordering of the old thread-per-connection front end.
+//! `wait: true` that queued a job) return [`LineOutcome::Pending`];
+//! the connection defers any further input lines until the owner
+//! pushes the reply through [`Completions::send`], preserving the
+//! one-reply-per-line ordering of the old thread-per-connection front
+//! end.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
@@ -129,11 +129,16 @@ pub enum LineOutcome {
 }
 
 /// The server-side brain the loop calls into. Implementations must be
-/// cheap and non-blocking: anything slow belongs on a worker or
-/// courier thread, completing via [`Completions`].
+/// cheap and non-blocking: anything slow belongs on a worker thread,
+/// completing via [`Completions`].
 pub trait ConnHandler: Send + Sync {
     /// Handles one complete input line (without its trailing newline).
     fn on_line(&self, token: ConnToken, line: &str) -> LineOutcome;
+
+    /// Called on the owning loop's thread once `token`'s connection has
+    /// left the loop, however it ended: closed by the client, dropped on
+    /// an error, or closed at stop.
+    fn on_close(&self, _token: ConnToken) {}
 
     /// Called periodically from loop 0 (at most every
     /// [`POLL_TIMEOUT_MS`]) for deadline sweeps.
@@ -299,7 +304,8 @@ impl Conn {
 
 /// Why a connection left the loop.
 enum Gone {
-    /// Orderly: EOF with nothing left to flush, or close-after-reply.
+    /// Orderly: EOF with nothing left to flush, close-after-reply, or
+    /// stop.
     Clean,
     /// A read failed or a line overflowed [`MAX_LINE`].
     ReadError,
@@ -534,8 +540,8 @@ fn run_loop(
                 gone = Some(Gone::Clean);
             }
             if let Some(reason) = gone {
-                retire(stats, reason);
                 conns.remove(&id);
+                retire(stats, handler, token, reason);
             }
         }
 
@@ -547,17 +553,18 @@ fn run_loop(
     // Stop: flush what we can, then close everything — including
     // idle connections that never sent a byte. This is the shutdown
     // guarantee the old thread-per-connection front end lacked.
-    for (_, mut conn) in conns.drain() {
+    for (conn_id, mut conn) in conns.drain() {
+        let mut reason = Gone::Clean;
         if conn.wants_write() {
             let _ = conn.stream.set_nonblocking(false);
             let _ = conn
                 .stream
                 .set_write_timeout(Some(std::time::Duration::from_millis(500)));
             if conn.stream.write_all(&conn.wbuf[conn.wpos..]).is_err() {
-                NetStats::bump(&stats.write_errors);
+                reason = Gone::WriteError;
             }
         }
-        stats.open.fetch_sub(1, Ordering::Relaxed);
+        retire(stats, handler, ConnToken { loop_idx, conn_id }, reason);
     }
 }
 
@@ -598,18 +605,20 @@ fn deliver(
         gone = Some(Gone::Clean);
     }
     if let Some(reason) = gone {
-        retire(stats, reason);
         conns.remove(&id);
+        retire(stats, handler, token, reason);
     }
 }
 
-fn retire(stats: &Arc<NetStats>, reason: Gone) {
+/// Accounts for a connection the caller just removed from its loop.
+fn retire(stats: &NetStats, handler: &Arc<dyn ConnHandler>, token: ConnToken, reason: Gone) {
     match reason {
         Gone::Clean => {}
         Gone::ReadError => NetStats::bump(&stats.conn_errors),
         Gone::WriteError => NetStats::bump(&stats.write_errors),
     }
     stats.open.fetch_sub(1, Ordering::Relaxed);
+    handler.on_close(token);
 }
 
 /// Reads everything available, splits complete lines, and hands them

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use sz_harness::experiments::{anova, bias, fig5, fig6, fig7, nist, table1};
-use sz_harness::runner::{stabilized_reports, stabilized_reports_range, ExperimentOptions};
+use sz_harness::runner::{stabilized_reports, ExperimentOptions};
 use sz_harness::{Json, TraceSink};
 use sz_machine::{MachineConfig, SimTime};
 use sz_opt::{optimize, OptLevel};
@@ -19,7 +19,7 @@ use sz_stats::{mean, welch_t_test, ALPHA};
 use sz_vm::RunReport;
 
 use crate::adaptive::{adaptive_evaluate, outcome_json, AdaptiveOutcome};
-use crate::proto::{Experiment, RunRequest, ShardRange};
+use crate::proto::{Experiment, RunRequest};
 
 /// Why a job did not produce a result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -257,12 +257,7 @@ pub fn execute(
             let used = 2 * n as u64 * suite_len as u64;
             (Json::obj([("sweeps", Json::Arr(sweeps))]), used, 0)
         }
-        Experiment::Evaluate => {
-            if let Some(shard) = spec.shard {
-                return execute_shard(spec, &opts, &ctl, &sink, &buffer, shard);
-            }
-            return evaluate(spec, &opts, &ctl, &sink, &buffer);
-        }
+        Experiment::Evaluate => return evaluate(spec, &opts, &ctl, &sink, &buffer),
         Experiment::SelftestSleep => {
             let start = Instant::now();
             while (start.elapsed().as_millis() as u64) < spec.sleep_ms {
@@ -288,12 +283,16 @@ pub fn execute(
     })
 }
 
-/// The single benchmark an `evaluate` (or `run_shard`) targets, plus
-/// its before/after optimized programs.
-fn evaluate_programs(
+/// The §2.4 change evaluation of one benchmark: fixed-N or adaptive
+/// sampling of its before/after programs, a `verdict` summary record
+/// at the end of the trace.
+fn evaluate(
     spec: &RunRequest,
     opts: &ExperimentOptions,
-) -> Result<(&'static str, sz_ir::Program, sz_ir::Program), ExecError> {
+    ctl: &JobCtl<'_>,
+    sink: &TraceSink,
+    buffer: &sz_harness::TraceBuffer,
+) -> Result<JobOutput, ExecError> {
     let suite = opts.selected_suite();
     let bench_spec = suite
         .first()
@@ -303,20 +302,10 @@ fn evaluate_programs(
             "evaluate takes exactly one benchmark".to_string(),
         ));
     }
+    let benchmark = bench_spec.name;
     let base = bench_spec.program(opts.scale);
     let before = optimize(&base, opt_level(&spec.before_opt)?);
     let after = optimize(&base, opt_level(&spec.after_opt)?);
-    Ok((bench_spec.name, before, after))
-}
-
-fn evaluate(
-    spec: &RunRequest,
-    opts: &ExperimentOptions,
-    ctl: &JobCtl<'_>,
-    sink: &TraceSink,
-    buffer: &sz_harness::TraceBuffer,
-) -> Result<JobOutput, ExecError> {
-    let (benchmark, before, after) = evaluate_programs(spec, opts)?;
 
     let (outcome, adaptive) = match &spec.adaptive {
         Some(params) => (
@@ -329,18 +318,37 @@ fn evaluate(
         ),
     };
 
-    let summary = evaluate_summary(
-        benchmark,
-        &spec.before_opt,
-        &spec.after_opt,
-        &outcome,
-        adaptive,
+    let mut summary_fields = vec![
+        ("benchmark".to_string(), Json::from(benchmark)),
+        ("before".to_string(), spec.before_opt.as_str().into()),
+        ("after".to_string(), spec.after_opt.as_str().into()),
+    ];
+    if let Json::Obj(fields) = outcome_json(&outcome, adaptive) {
+        summary_fields.extend(fields);
+    }
+    sink.summary_record(
+        "evaluate",
+        vec![
+            ("benchmark", benchmark.into()),
+            ("event", "verdict".into()),
+            ("significant", outcome.significant.into()),
+            ("p_value", outcome.p_value.into()),
+            ("speedup", outcome.speedup.into()),
+            ("samples_per_arm", outcome.samples_per_arm.into()),
+            (
+                "practical",
+                outcome
+                    .verdict
+                    .as_ref()
+                    .map_or("no-verdict", |r| r.verdict.as_str())
+                    .into(),
+            ),
+        ],
     );
-    sink.summary_record("evaluate", evaluate_verdict_fields(benchmark, &outcome));
     sink.flush();
     Ok(JobOutput {
         trace: buffer.contents(),
-        summary,
+        summary: Json::Obj(summary_fields),
         samples_used: 2 * outcome.samples_per_arm as u64,
         samples_saved: if adaptive {
             outcome.samples_saved() as u64
@@ -350,76 +358,8 @@ fn evaluate(
     })
 }
 
-/// The `result` line's summary object for an evaluate outcome. Public
-/// so the federation coordinator can rebuild the exact object from
-/// merged shard samples.
-pub fn evaluate_summary(
-    benchmark: &str,
-    before_opt: &str,
-    after_opt: &str,
-    outcome: &AdaptiveOutcome,
-    adaptive: bool,
-) -> Json {
-    let mut summary_fields = vec![
-        ("benchmark".to_string(), Json::from(benchmark)),
-        ("before".to_string(), before_opt.into()),
-        ("after".to_string(), after_opt.into()),
-    ];
-    if let Json::Obj(fields) = outcome_json(outcome, adaptive) {
-        summary_fields.extend(fields);
-    }
-    Json::Obj(summary_fields)
-}
-
-/// The fields of the trailing `verdict` summary trace record. Public
-/// for the same reason as [`evaluate_summary`]: the coordinator's
-/// merged transcript must end with a byte-identical record.
-pub fn evaluate_verdict_fields<'a>(
-    benchmark: &'a str,
-    outcome: &AdaptiveOutcome,
-) -> Vec<(&'a str, Json)> {
-    vec![
-        ("benchmark", benchmark.into()),
-        ("event", "verdict".into()),
-        ("significant", outcome.significant.into()),
-        ("p_value", outcome.p_value.into()),
-        ("speedup", outcome.speedup.into()),
-        ("samples_per_arm", outcome.samples_per_arm.into()),
-        (
-            "practical",
-            outcome
-                .verdict
-                .as_ref()
-                .map_or("no-verdict", |r| r.verdict.as_str())
-                .into(),
-        ),
-    ]
-}
-
-/// Derives the fixed-protocol outcome from complete sample arms.
-/// Shared by the in-process path and the coordinator's shard merge:
-/// both feed the same numbers through the same statistics, so the
-/// resulting summaries are bit-identical.
-pub fn fixed_outcome(before_s: Vec<f64>, after_s: Vec<f64>, runs: usize) -> AdaptiveOutcome {
-    let p_value = welch_t_test(&before_s, &after_s).map_or(1.0, |t| t.p_value);
-    let rel = sz_stats::diff_ci(&after_s, &before_s, 0.95)
-        .map(|ci| ci.relative_margin(mean(&before_s)))
-        .unwrap_or(f64::INFINITY);
-    let verdict = sz_stats::judge(&before_s, &after_s, &sz_stats::VerdictConfig::default()).ok();
-    AdaptiveOutcome {
-        samples_per_arm: runs,
-        max_runs: runs,
-        stopped_early: false,
-        relative_half_width: rel,
-        p_value,
-        significant: p_value < ALPHA,
-        speedup: mean(&before_s) / mean(&after_s),
-        verdict,
-        before: before_s,
-        after: after_s,
-    }
-}
-
+/// The fixed protocol: `opts.runs` re-randomized runs per arm, then
+/// one Welch test, effect CI and practical verdict over the full arms.
 fn fixed_evaluate(
     before: &sz_ir::Program,
     after: &sz_ir::Program,
@@ -437,77 +377,22 @@ fn fixed_evaluate(
     }
     let after_s = arms.pop().expect("two arms");
     let before_s = arms.pop().expect("two arms");
-    Ok(fixed_outcome(before_s, after_s, opts.runs))
-}
-
-/// Executes one `run_shard`: the window `shard` of a fixed-protocol
-/// evaluate. Run `i` of the stream always draws `seed_base + i`, so
-/// the records this produces are byte-identical to the corresponding
-/// slice of a full single-node run's transcript.
-///
-/// The trace holds the `before` arm's records followed by the
-/// `after` arm's; `summary` carries the byte offset of the split
-/// (`before_len`) plus the raw sample bits, which is everything the
-/// front end needs to build the `shard_result` wire line.
-fn execute_shard(
-    spec: &RunRequest,
-    opts: &ExperimentOptions,
-    ctl: &JobCtl<'_>,
-    sink: &TraceSink,
-    buffer: &sz_harness::TraceBuffer,
-    shard: ShardRange,
-) -> Result<JobOutput, ExecError> {
-    if spec.adaptive.is_some() {
-        return Err(ExecError::Failed(
-            "run_shard cannot be adaptive".to_string(),
-        ));
-    }
-    if shard.count == 0 || shard.start + shard.count > spec.runs {
-        return Err(ExecError::Failed(format!(
-            "bad shard range {}+{} for runs={}",
-            shard.start, shard.count, spec.runs
-        )));
-    }
-    let (benchmark, before, after) = evaluate_programs(spec, opts)?;
-
-    let mut before_len = 0usize;
-    let mut arms: Vec<Vec<f64>> = Vec::new();
-    for (program, variant) in [(&before, "before"), (&after, "after")] {
-        ctl.checkpoint()?;
-        let reports = stabilized_reports_range(
-            program,
-            opts,
-            stabilizer::Config::default(),
-            shard.start,
-            shard.count,
-        );
-        for (i, report) in reports.iter().enumerate() {
-            sink.run_record("evaluate", benchmark, variant, shard.start + i, report);
-        }
-        arms.push(reports.iter().map(RunReport::seconds).collect());
-        if variant == "before" {
-            sink.flush();
-            before_len = buffer.contents().len();
-        }
-    }
-    let after_s = arms.pop().expect("two arms");
-    let before_s = arms.pop().expect("two arms");
-    let bits = |samples: &[f64]| Json::Arr(samples.iter().map(|s| s.to_bits().into()).collect());
-    let summary = Json::obj([
-        ("benchmark", benchmark.into()),
-        ("shard_start", shard.start.into()),
-        ("shard_count", shard.count.into()),
-        ("before_len", before_len.into()),
-        ("before_bits", bits(&before_s)),
-        ("after_bits", bits(&after_s)),
-    ]);
-    ctl.checkpoint()?;
-    sink.flush();
-    Ok(JobOutput {
-        trace: buffer.contents(),
-        summary,
-        samples_used: 2 * shard.count as u64,
-        samples_saved: 0,
+    let p_value = welch_t_test(&before_s, &after_s).map_or(1.0, |t| t.p_value);
+    let rel = sz_stats::diff_ci(&after_s, &before_s, 0.95)
+        .map(|ci| ci.relative_margin(mean(&before_s)))
+        .unwrap_or(f64::INFINITY);
+    let verdict = sz_stats::judge(&before_s, &after_s, &sz_stats::VerdictConfig::default()).ok();
+    Ok(AdaptiveOutcome {
+        samples_per_arm: opts.runs,
+        max_runs: opts.runs,
+        stopped_early: false,
+        relative_half_width: rel,
+        p_value,
+        significant: p_value < ALPHA,
+        speedup: mean(&before_s) / mean(&after_s),
+        verdict,
+        before: before_s,
+        after: after_s,
     })
 }
 

@@ -24,17 +24,12 @@
 //!   threads multiplex tens of thousands of mostly-idle connections
 //!   as nonblocking per-connection state machines, with a self-pipe
 //!   for cross-thread wakeups instead of sleep-polling;
-//! - [`ring`] — a consistent-hash ring over FNV-1a-128 cache keys for
-//!   sharding the result cache across federated peers;
-//! - [`federation`] — the `node` / `coordinator` roles: a coordinator
-//!   routes cache lookups to ring owners and splits a run request
-//!   into contiguous shard windows across workers, merging the JSONL
-//!   streams back into a byte-identical single-node transcript;
 //! - [`loadgen`] — a poll-driven open-loop load generator (the
 //!   `loadgen` binary) that drives N concurrent clients and reports
 //!   an HDR-style latency histogram;
-//! - [`server`] — the TCP daemon tying it together, plus the `szctl`
-//!   client binary.
+//! - [`server`] — the single-node TCP daemon tying it together: one
+//!   process serves every client and pushes the sentinel's alerts to
+//!   `watch` subscribers; the `sz-serve` and `szctl` binaries wrap it.
 //!
 //! # Example
 //!
@@ -50,16 +45,12 @@ pub mod adaptive;
 pub mod cache;
 pub mod event_loop;
 pub mod exec;
-pub mod federation;
 pub mod loadgen;
 pub mod proto;
-pub mod ring;
 pub mod scheduler;
 pub mod server;
 
 pub use cache::{CacheKey, ResultCache};
 pub use exec::JobOutput;
-pub use federation::{FederationConfig, Role};
-pub use proto::{AdaptiveParams, Experiment, Request, RunRequest, ShardRange, DEFAULT_ADDR};
-pub use ring::Ring;
-pub use server::{Server, ServerConfig};
+pub use proto::{AdaptiveParams, Experiment, Request, RunRequest, DEFAULT_ADDR};
+pub use server::{FederationConfig, Server, ServerConfig};

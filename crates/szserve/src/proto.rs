@@ -10,20 +10,11 @@
 //! | `type` | fields |
 //! |---|---|
 //! | `run` | `experiment`, plus the options below |
-//! | `run_shard` | a `run`, plus `shard_start` / `shard_count` |
 //! | `status` | `job` |
 //! | `cancel` | `job` |
 //! | `stats` | — |
 //! | `watch` | — |
 //! | `shutdown` | — |
-//!
-//! `run_shard` is the federation's peer message: a coordinator splits
-//! a fixed-protocol `evaluate` into contiguous run-index shards, each
-//! worker executes its window through
-//! `sz_harness::runner::stabilized_reports_range` (run `i` always
-//! uses `seed_base + i`, so a window is a bit-identical slice of the
-//! full run's stream), and answers with one `shard_result` line
-//! carrying its trace chunks and raw sample bits.
 //!
 //! `run` options (all optional unless noted): `benchmarks` (array of
 //! names; default all), `scale` (`tiny`/`small`/`full`), `runs`,
@@ -146,99 +137,6 @@ impl Default for AdaptiveParams {
     }
 }
 
-/// A contiguous window of the fixed protocol's run-index stream:
-/// runs `start .. start + count` out of the request's `runs`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRange {
-    /// First run index (0-based).
-    pub start: usize,
-    /// Number of runs in this shard (>= 1).
-    pub count: usize,
-}
-
-/// Splits `total` runs into `workers` contiguous shards, front-loading
-/// the remainder so shard sizes differ by at most one. Empty when
-/// either input is zero.
-pub fn plan_shards(total: usize, workers: usize) -> Vec<ShardRange> {
-    if total == 0 || workers == 0 {
-        return Vec::new();
-    }
-    let workers = workers.min(total);
-    let base = total / workers;
-    let extra = total % workers;
-    let mut shards = Vec::with_capacity(workers);
-    let mut start = 0;
-    for i in 0..workers {
-        let count = base + usize::from(i < extra);
-        shards.push(ShardRange { start, count });
-        start += count;
-    }
-    shards
-}
-
-/// Checks that `shards` tile `0..total` exactly: non-empty, starting
-/// at 0, contiguous, non-overlapping, and fully covering.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation.
-pub fn validate_shard_plan(shards: &[ShardRange], total: usize) -> Result<(), String> {
-    if shards.is_empty() {
-        return Err("shard plan is empty".to_string());
-    }
-    let mut next = 0usize;
-    for s in shards {
-        if s.count == 0 {
-            return Err(format!("shard {}+0 is empty", s.start));
-        }
-        if s.start < next {
-            return Err(format!(
-                "shard {}+{} overlaps the previous shard (next expected start {next})",
-                s.start, s.count
-            ));
-        }
-        if s.start > next {
-            return Err(format!("shard plan has a gap before run {}", s.start));
-        }
-        next = s
-            .start
-            .checked_add(s.count)
-            .ok_or_else(|| format!("bad shard range {}+{}", s.start, s.count))?;
-    }
-    if next != total {
-        return Err(format!("shard plan covers {next} of {total} runs"));
-    }
-    Ok(())
-}
-
-/// Parses a comma-separated `host:port` peer list (the `--peers` flag
-/// and `SZ_SERVE_PEERS` format).
-///
-/// # Errors
-///
-/// Empty entries, entries without a `:port`, non-numeric ports, and
-/// duplicates are rejected with a message naming the offender.
-pub fn parse_peers(list: &str) -> Result<Vec<String>, String> {
-    let mut peers = Vec::new();
-    for raw in list.split(',') {
-        let peer = raw.trim();
-        if peer.is_empty() {
-            return Err(format!("malformed peer list {list:?}: empty entry"));
-        }
-        let Some((host, port)) = peer.rsplit_once(':') else {
-            return Err(format!("malformed peer {peer:?}: missing :port"));
-        };
-        if host.is_empty() || port.parse::<u16>().is_err() {
-            return Err(format!("malformed peer {peer:?}: want host:port"));
-        }
-        if peers.iter().any(|p| p == peer) {
-            return Err(format!("duplicate peer {peer:?}"));
-        }
-        peers.push(peer.to_string());
-    }
-    Ok(peers)
-}
-
 /// One `run` request: which experiment, over which benchmarks, under
 /// which options. `threads`, `trace`, `wait`, and `deadline_ms` are
 /// execution hints and do **not** enter the cache key (results are
@@ -275,9 +173,6 @@ pub struct RunRequest {
     pub adaptive: Option<AdaptiveParams>,
     /// `selftest-sleep` only: how long to sleep.
     pub sleep_ms: u64,
-    /// `run_shard` only: the contiguous run window to execute (None =
-    /// an ordinary full run).
-    pub shard: Option<ShardRange>,
 }
 
 impl RunRequest {
@@ -299,7 +194,6 @@ impl RunRequest {
             after_opt: "O2".to_string(),
             adaptive: None,
             sleep_ms: 25,
-            shard: None,
         }
     }
 }
@@ -376,7 +270,6 @@ impl Request {
             .ok_or("request is missing a string \"type\" field")?;
         match kind {
             "run" => Ok(Request::Run(parse_run(&v)?)),
-            "run_shard" => Ok(Request::Run(parse_run_shard(&v)?)),
             "status" => Ok(Request::Status { job: job_id(&v)? }),
             "cancel" => Ok(Request::Cancel { job: job_id(&v)? }),
             "stats" => Ok(Request::Stats),
@@ -522,43 +415,9 @@ fn parse_run(v: &Json) -> Result<RunRequest, String> {
     Ok(req)
 }
 
-fn parse_run_shard(v: &Json) -> Result<RunRequest, String> {
-    let mut req = parse_run(v)?;
-    if req.experiment != Experiment::Evaluate {
-        return Err("run_shard only applies to the evaluate experiment".to_string());
-    }
-    if req.adaptive.is_some() {
-        return Err("run_shard cannot be adaptive (shards are fixed-protocol windows)".to_string());
-    }
-    let start = v
-        .get("shard_start")
-        .and_then(Json::as_u64)
-        .ok_or("run_shard is missing an integer \"shard_start\" field")? as usize;
-    let count = v
-        .get("shard_count")
-        .and_then(Json::as_u64)
-        .ok_or("run_shard is missing an integer \"shard_count\" field")? as usize;
-    if count == 0 {
-        return Err("bad shard range: \"shard_count\" must be at least 1".to_string());
-    }
-    if start.checked_add(count).is_none_or(|end| end > req.runs) {
-        return Err(format!(
-            "bad shard range: {start}+{count} exceeds runs={}",
-            req.runs
-        ));
-    }
-    req.shard = Some(ShardRange { start, count });
-    Ok(req)
-}
-
 fn run_to_json(run: &RunRequest) -> Json {
-    let kind = if run.shard.is_some() {
-        "run_shard"
-    } else {
-        "run"
-    };
     let mut fields: Vec<(String, Json)> = vec![
-        ("type".to_string(), kind.into()),
+        ("type".to_string(), "run".into()),
         ("experiment".to_string(), run.experiment.name().into()),
         ("scale".to_string(), scale_name(run.scale).into()),
         ("runs".to_string(), run.runs.into()),
@@ -595,10 +454,6 @@ fn run_to_json(run: &RunRequest) -> Json {
             ]),
         ));
     }
-    if let Some(shard) = &run.shard {
-        fields.push(("shard_start".to_string(), shard.start.into()));
-        fields.push(("shard_count".to_string(), shard.count.into()));
-    }
     Json::Obj(fields)
 }
 
@@ -606,112 +461,6 @@ fn run_to_json(run: &RunRequest) -> Json {
 /// and the client).
 pub fn scale_wire_name(scale: Scale) -> &'static str {
     scale_name(scale)
-}
-
-/// A worker's answer to a `run_shard`: the shard's trace chunks
-/// (JSONL, embedded as JSON strings) plus the raw sample values.
-///
-/// Samples travel as `f64::to_bits` integers — [`Json`] keeps `u64`
-/// lossless end to end, so the coordinator reassembles *exactly* the
-/// doubles the worker measured and the merged summary statistics are
-/// bit-identical to a single-node run's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardResult {
-    /// Which window of the run stream this answers.
-    pub shard: ShardRange,
-    /// The single benchmark the evaluate ran.
-    pub benchmark: String,
-    /// Whether the worker served the shard from its cache.
-    pub cached: bool,
-    /// `run` records of the `before` arm, in run-index order.
-    pub before_trace: String,
-    /// `run` records of the `after` arm, in run-index order.
-    pub after_trace: String,
-    /// Per-run seconds of the `before` arm.
-    pub before: Vec<f64>,
-    /// Per-run seconds of the `after` arm.
-    pub after: Vec<f64>,
-}
-
-fn bits_array(samples: &[f64]) -> Json {
-    Json::Arr(samples.iter().map(|s| s.to_bits().into()).collect())
-}
-
-fn samples_from_bits(v: &Json, field: &str) -> Result<Vec<f64>, String> {
-    let arr = v
-        .get(field)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("shard_result is missing a \"{field}\" array"))?;
-    arr.iter()
-        .map(|j| match j {
-            Json::U64(bits) => Ok(f64::from_bits(*bits)),
-            _ => Err(format!("\"{field}\" entries must be u64 sample bits")),
-        })
-        .collect()
-}
-
-impl ShardResult {
-    /// Encodes the wire line (`type: "shard_result"`).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("type", "shard_result".into()),
-            ("shard_start", self.shard.start.into()),
-            ("shard_count", self.shard.count.into()),
-            ("benchmark", self.benchmark.as_str().into()),
-            ("cached", self.cached.into()),
-            ("before_trace", self.before_trace.as_str().into()),
-            ("after_trace", self.after_trace.as_str().into()),
-            ("before_bits", bits_array(&self.before)),
-            ("after_bits", bits_array(&self.after)),
-        ])
-    }
-
-    /// Decodes a wire line produced by [`ShardResult::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Names the missing or ill-typed field; a `count` that does not
-    /// match the sample arrays is rejected.
-    pub fn parse(line: &str) -> Result<ShardResult, String> {
-        let v = Json::parse(line).map_err(|e| e.to_string())?;
-        if v.get("type").and_then(Json::as_str) != Some("shard_result") {
-            return Err("not a shard_result line".to_string());
-        }
-        let field_u64 = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("shard_result is missing an integer \"{name}\" field"))
-        };
-        let field_str = |name: &str| {
-            v.get(name)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("shard_result is missing a string \"{name}\" field"))
-        };
-        let shard = ShardRange {
-            start: field_u64("shard_start")? as usize,
-            count: field_u64("shard_count")? as usize,
-        };
-        let before = samples_from_bits(&v, "before_bits")?;
-        let after = samples_from_bits(&v, "after_bits")?;
-        if before.len() != shard.count || after.len() != shard.count {
-            return Err(format!(
-                "shard_result sample counts ({}, {}) do not match shard_count {}",
-                before.len(),
-                after.len(),
-                shard.count
-            ));
-        }
-        Ok(ShardResult {
-            shard,
-            benchmark: field_str("benchmark")?,
-            cached: v.get("cached").and_then(Json::as_bool).unwrap_or(false),
-            before_trace: field_str("before_trace")?,
-            after_trace: field_str("after_trace")?,
-            before,
-            after,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -813,6 +562,11 @@ mod tests {
     #[test]
     fn unknown_request_kinds_are_named_in_the_error() {
         expect_error(r#"{"type":"warp"}"#, "unknown request type \"warp\"");
+        // The old federation's shard message no longer parses as a run.
+        expect_error(
+            r#"{"type":"run_shard","experiment":"evaluate","shard_start":0,"shard_count":1}"#,
+            "unknown request type \"run_shard\"",
+        );
         // A non-string or absent type is a different failure than an
         // unknown one.
         expect_error(r#"{"type":7}"#, "missing a string \"type\"");
@@ -897,151 +651,6 @@ mod tests {
             r#"{"type":"run","experiment":"evaluate","adaptive":{"min_runs":20,"max_runs":10}}"#,
             "\"max_runs\" must be >= \"min_runs\"",
         );
-    }
-
-    #[test]
-    fn run_shard_round_trips() {
-        let mut run = RunRequest::quick(Experiment::Evaluate);
-        run.benchmarks = Some(vec!["gobmk".into()]);
-        run.runs = 12;
-        run.shard = Some(ShardRange { start: 4, count: 5 });
-        let line = Request::Run(run.clone()).to_json().to_string();
-        assert!(line.contains(r#""type":"run_shard""#));
-        assert_eq!(Request::parse(&line).unwrap(), Request::Run(run));
-    }
-
-    #[test]
-    fn shard_constraints_are_reported() {
-        expect_error(
-            r#"{"type":"run_shard","experiment":"table1","shard_start":0,"shard_count":2}"#,
-            "run_shard only applies to the evaluate experiment",
-        );
-        expect_error(
-            r#"{"type":"run_shard","experiment":"evaluate","adaptive":{},"shard_start":0,"shard_count":2}"#,
-            "run_shard cannot be adaptive",
-        );
-        expect_error(
-            r#"{"type":"run_shard","experiment":"evaluate","shard_count":2}"#,
-            "missing an integer \"shard_start\"",
-        );
-        expect_error(
-            r#"{"type":"run_shard","experiment":"evaluate","shard_start":0}"#,
-            "missing an integer \"shard_count\"",
-        );
-        expect_error(
-            r#"{"type":"run_shard","experiment":"evaluate","shard_start":0,"shard_count":0}"#,
-            "\"shard_count\" must be at least 1",
-        );
-        expect_error(
-            r#"{"type":"run_shard","experiment":"evaluate","runs":6,"shard_start":4,"shard_count":3}"#,
-            "bad shard range: 4+3 exceeds runs=6",
-        );
-    }
-
-    #[test]
-    fn peer_lists_parse_and_reject_malformed_entries() {
-        assert_eq!(
-            parse_peers("127.0.0.1:7001, 127.0.0.1:7002").unwrap(),
-            vec!["127.0.0.1:7001".to_string(), "127.0.0.1:7002".to_string()]
-        );
-        for (list, needle) in [
-            ("", "empty entry"),
-            ("a:1,,b:2", "empty entry"),
-            ("localhost", "missing :port"),
-            (":7001", "want host:port"),
-            ("host:notaport", "want host:port"),
-            ("host:99999", "want host:port"),
-            ("a:1,a:1", "duplicate peer"),
-        ] {
-            let err = parse_peers(list).expect_err(list);
-            assert!(err.contains(needle), "{list:?} -> {err:?}");
-        }
-    }
-
-    #[test]
-    fn shard_plans_tile_exactly() {
-        let plan = plan_shards(10, 3);
-        assert_eq!(
-            plan,
-            vec![
-                ShardRange { start: 0, count: 4 },
-                ShardRange { start: 4, count: 3 },
-                ShardRange { start: 7, count: 3 },
-            ]
-        );
-        validate_shard_plan(&plan, 10).unwrap();
-        // More workers than runs degrades to one-run shards.
-        assert_eq!(plan_shards(2, 5).len(), 2);
-        validate_shard_plan(&plan_shards(2, 5), 2).unwrap();
-        assert!(plan_shards(0, 3).is_empty());
-        assert!(plan_shards(3, 0).is_empty());
-
-        for (shards, total, needle) in [
-            (vec![], 4, "empty"),
-            (vec![ShardRange { start: 0, count: 0 }], 0, "is empty"),
-            (
-                vec![
-                    ShardRange { start: 0, count: 3 },
-                    ShardRange { start: 2, count: 2 },
-                ],
-                4,
-                "overlaps",
-            ),
-            (
-                vec![
-                    ShardRange { start: 0, count: 1 },
-                    ShardRange { start: 3, count: 1 },
-                ],
-                4,
-                "gap",
-            ),
-            (vec![ShardRange { start: 1, count: 2 }], 3, "gap"),
-            (vec![ShardRange { start: 0, count: 2 }], 4, "covers 2 of 4"),
-        ] {
-            let err = validate_shard_plan(&shards, total).expect_err("must reject");
-            assert!(err.contains(needle), "{shards:?} -> {err:?}");
-        }
-    }
-
-    #[test]
-    fn shard_results_round_trip_bit_exactly() {
-        let result = ShardResult {
-            shard: ShardRange { start: 3, count: 2 },
-            benchmark: "gobmk".to_string(),
-            cached: true,
-            before_trace: "{\"type\":\"run\",\"run\":3}\n{\"type\":\"run\",\"run\":4}\n"
-                .to_string(),
-            after_trace: "{\"type\":\"run\",\"run\":3}\n{\"type\":\"run\",\"run\":4}\n".to_string(),
-            before: vec![1.0000000000000002, 0.1 + 0.2],
-            after: vec![f64::MIN_POSITIVE, 1e300],
-        };
-        let line = result.to_json().to_string();
-        let parsed = ShardResult::parse(&line).unwrap();
-        assert_eq!(parsed, result);
-        // The embedded trace chunk must survive with its newlines.
-        assert_eq!(parsed.before_trace.lines().count(), 2);
-    }
-
-    #[test]
-    fn malformed_shard_results_are_rejected() {
-        for (line, needle) in [
-            (r#"{"type":"result"}"#, "not a shard_result"),
-            (
-                r#"{"type":"shard_result","shard_count":1}"#,
-                "missing an integer \"shard_start\"",
-            ),
-            (
-                r#"{"type":"shard_result","shard_start":0,"shard_count":1,"benchmark":"x","before_trace":"","after_trace":"","before_bits":[0.5],"after_bits":[1]}"#,
-                "u64 sample bits",
-            ),
-            (
-                r#"{"type":"shard_result","shard_start":0,"shard_count":2,"benchmark":"x","before_trace":"","after_trace":"","before_bits":[1],"after_bits":[1]}"#,
-                "do not match shard_count",
-            ),
-        ] {
-            let err = ShardResult::parse(line).expect_err(line);
-            assert!(err.contains(needle), "{line:?} -> {err:?}");
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use sz_harness::Json;
 
-use crate::cache::{cache_key, CacheKey, ResultCache};
+use crate::cache::{cache_key, ResultCache};
 use crate::exec::{execute, ExecError, JobOutput};
 use crate::proto::RunRequest;
 
@@ -192,23 +192,6 @@ impl Scheduler {
     pub fn set_notifier(&self, notifier: SettleNotifier) {
         let (lock, _) = &*self.shared;
         lock.lock().expect("scheduler lock").notifier = Some(notifier);
-    }
-
-    /// Looks up a cache entry by key (the federation coordinator's
-    /// local-cache probe before routing to a peer).
-    pub fn cache_lookup(&self, key: &CacheKey) -> Option<Arc<JobOutput>> {
-        let (lock, _) = &*self.shared;
-        lock.lock().expect("scheduler lock").cache.get(key)
-    }
-
-    /// Inserts a result under `key` (the coordinator storing a merged
-    /// shard transcript so repeats are local hits).
-    pub fn cache_insert(&self, key: &CacheKey, output: Arc<JobOutput>) {
-        let (lock, _) = &*self.shared;
-        lock.lock()
-            .expect("scheduler lock")
-            .cache
-            .insert(key, output);
     }
 
     /// Submits a request: cache hit, queued job, or rejection.

@@ -16,9 +16,6 @@
 //! finishes. An event-loop thread therefore never blocks on a job —
 //! it only parses, submits, and moves on to the next ready socket.
 //!
-//! With a [`FederationConfig`] naming peers, the same front end also
-//! serves the `coordinator` / `node` roles (see [`crate::federation`]).
-//!
 //! [`event_loop`]: crate::event_loop
 
 use std::collections::HashMap;
@@ -32,7 +29,6 @@ use sz_sentinel::{ParsedLine, RunSample, Sentinel, SentinelConfig};
 
 use crate::event_loop::{Completions, ConnHandler, ConnToken, EventLoops, LineOutcome, NetStats};
 use crate::exec::JobOutput;
-use crate::federation::{shard_result_from_output, Federation, FederationConfig, Routed};
 use crate::proto::{Request, RunRequest, DEFAULT_ADDR};
 use crate::scheduler::{JobState, Scheduler, SchedulerConfig, SubmitOutcome};
 
@@ -40,7 +36,7 @@ use crate::scheduler::{JobState, Scheduler, SchedulerConfig, SubmitOutcome};
 /// degrades it to an `accepted` line (the job keeps running; the
 /// client can poll). Generous on purpose: per-job deadlines
 /// (`deadline_ms`) are the intended bound.
-pub(crate) const WAIT_CAP: Duration = Duration::from_secs(600);
+const WAIT_CAP: Duration = Duration::from_secs(600);
 
 /// Server sizing and bind address.
 #[derive(Debug, Clone)]
@@ -51,9 +47,16 @@ pub struct ServerConfig {
     pub scheduler: SchedulerConfig,
     /// Event-loop threads multiplexing the connections.
     pub loops: usize,
-    /// Federation role and peer list.
+    /// Unused; see [`FederationConfig`].
     pub federation: FederationConfig,
 }
+
+/// An empty placeholder: the server runs as one node and nothing reads
+/// this. It is kept only because sz-benchmark's `serve.rs` (a package
+/// that builds [`ServerConfig`] with every field named) still sets it;
+/// ROADMAP.md item 8 drops both from the next change to that package.
+#[derive(Debug, Clone, Default)]
+pub struct FederationConfig {}
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -91,7 +94,6 @@ impl Server {
             scheduler: Arc::clone(&scheduler),
             completions: loops.completions(),
             net: loops.net_stats(),
-            federation: Federation::new(&config.federation),
             waits: Mutex::new(HashMap::new()),
             watch: Mutex::new(WatchState {
                 sentinel: Sentinel::new(SentinelConfig::default()),
@@ -156,30 +158,26 @@ struct Waiter {
     token: ConnToken,
     experiment: &'static str,
     wants_trace: bool,
-    /// Reply with a `shard_result` line instead of a `result` line.
-    shard: bool,
     /// When to degrade to an `accepted` line ([`WAIT_CAP`]).
     deadline: Instant,
 }
 
 /// The per-request brain the event loops call into. Never blocks:
-/// long work lives on scheduler workers or federation couriers, and
-/// replies come back through [`Completions`].
+/// long work lives on scheduler workers, and replies come back through
+/// [`Completions`].
 struct ServeHandler {
     scheduler: Arc<Scheduler>,
     completions: Completions,
     net: Arc<NetStats>,
-    federation: Federation,
     waits: Mutex<HashMap<u64, Waiter>>,
     watch: Mutex<WatchState>,
     stop: Arc<AtomicBool>,
 }
 
 /// The regression sentinel riding on the job stream, plus its
-/// subscribers. The event loop has no connection-close hook, so the
-/// watcher list is append-only: [`Completions::send`] to a closed
-/// token is a silent no-op and tokens are never reused, which makes
-/// stale entries harmless (they cost one dropped send per alert).
+/// subscribers: the connections that sent `watch` and are still open.
+/// [`ConnHandler::on_close`] drops a connection's token when it leaves
+/// its event loop, so the list never holds a dead subscriber.
 struct WatchState {
     sentinel: Sentinel,
     watchers: Vec<ConnToken>,
@@ -188,27 +186,13 @@ struct WatchState {
 
 impl ServeHandler {
     fn respond_run(&self, token: ConnToken, spec: RunRequest) -> LineOutcome {
-        match self
-            .federation
-            .route_run(&spec, &self.scheduler, &self.completions, token)
-        {
-            Routed::Reply(bytes) => return LineOutcome::Reply(bytes),
-            Routed::Pending => return LineOutcome::Pending,
-            Routed::Local => {}
-        }
-
-        let shard = spec.shard.is_some();
-        // Shard replies embed their trace chunks in the shard_result
-        // line; streaming records as well would duplicate them.
-        let wants_trace = spec.trace && !shard;
+        let wants_trace = spec.trace;
         let wait = spec.wait;
         let experiment = spec.experiment.name();
         match self.scheduler.submit(spec) {
-            SubmitOutcome::Cached(output) => LineOutcome::Reply(if shard {
-                render_shard_reply(&output, true)
-            } else {
-                render_output(experiment, &output, true, None, wants_trace)
-            }),
+            SubmitOutcome::Cached(output) => {
+                LineOutcome::Reply(render_output(experiment, &output, true, None, wants_trace))
+            }
             SubmitOutcome::Rejected { retry_after_ms } => {
                 LineOutcome::Reply(render_rejected(retry_after_ms))
             }
@@ -222,7 +206,6 @@ impl ServeHandler {
                         token,
                         experiment,
                         wants_trace,
-                        shard,
                         deadline: Instant::now() + WAIT_CAP,
                     },
                 );
@@ -258,19 +241,13 @@ impl ServeHandler {
             }
         };
         let bytes = match state {
-            JobState::Done(output) => {
-                if waiter.shard {
-                    render_shard_reply(&output, false)
-                } else {
-                    render_output(
-                        waiter.experiment,
-                        &output,
-                        false,
-                        Some(id),
-                        waiter.wants_trace,
-                    )
-                }
-            }
+            JobState::Done(output) => render_output(
+                waiter.experiment,
+                &output,
+                false,
+                Some(id),
+                waiter.wants_trace,
+            ),
             JobState::Failed(err) => render_error(Some(id), &err.reason()),
             _ => unreachable!("settled above"),
         };
@@ -358,7 +335,6 @@ impl ServeHandler {
         ] {
             fields.push((name.to_string(), counter.load(Ordering::Relaxed).into()));
         }
-        fields.push(("federation".to_string(), self.federation.stats_json()));
         render_line(&Json::Obj(fields))
     }
 }
@@ -415,6 +391,12 @@ impl ConnHandler for ServeHandler {
         }
     }
 
+    /// Drops a closed connection from the watcher list.
+    fn on_close(&self, token: ConnToken) {
+        let mut state = self.watch.lock().expect("watch state");
+        state.watchers.retain(|&watcher| watcher != token);
+    }
+
     /// Sweeps pending waits past [`WAIT_CAP`], degrading each to an
     /// `accepted` line so the connection is never wedged forever.
     fn tick(&self) {
@@ -439,25 +421,25 @@ impl ConnHandler for ServeHandler {
     }
 }
 
-pub(crate) fn render_line(value: &Json) -> Vec<u8> {
+fn render_line(value: &Json) -> Vec<u8> {
     format!("{value}\n").into_bytes()
 }
 
-pub(crate) fn render_accepted(id: u64) -> Vec<u8> {
+fn render_accepted(id: u64) -> Vec<u8> {
     render_line(&Json::obj([
         ("type", "accepted".into()),
         ("job", id.into()),
     ]))
 }
 
-pub(crate) fn render_rejected(retry_after_ms: u64) -> Vec<u8> {
+fn render_rejected(retry_after_ms: u64) -> Vec<u8> {
     render_line(&Json::obj([
         ("type", "rejected".into()),
         ("retry_after_ms", retry_after_ms.into()),
     ]))
 }
 
-pub(crate) fn render_error(job: Option<u64>, message: &str) -> Vec<u8> {
+fn render_error(job: Option<u64>, message: &str) -> Vec<u8> {
     let mut fields = vec![("type".to_string(), Json::from("error"))];
     if let Some(id) = job {
         fields.push(("job".to_string(), id.into()));
@@ -469,7 +451,7 @@ pub(crate) fn render_error(job: Option<u64>, message: &str) -> Vec<u8> {
 /// The bytes of a completed `run` reply: optional trace records (the
 /// captured JSONL is relayed byte-for-byte, so cached and fresh
 /// responses are identical) followed by the terminal `result` line.
-pub(crate) fn render_output(
+fn render_output(
     experiment: &str,
     output: &JobOutput,
     cached: bool,
@@ -495,34 +477,6 @@ pub(crate) fn render_output(
     bytes
 }
 
-/// The bytes of a `run_shard` reply: one `shard_result` line.
-pub(crate) fn render_shard_reply(output: &JobOutput, cached: bool) -> Vec<u8> {
-    match shard_result_from_output(output, cached) {
-        Ok(shard) => render_line(&shard.to_json()),
-        Err(message) => render_error(None, &message),
-    }
-}
-
-/// Executes a `run` to completion on the calling thread — the
-/// federation couriers' local-fallback path, where blocking is fine.
-pub(crate) fn run_blocking(spec: &RunRequest, scheduler: &Arc<Scheduler>) -> Vec<u8> {
-    let wants_trace = spec.trace;
-    let experiment = spec.experiment.name();
-    match scheduler.submit(spec.clone()) {
-        SubmitOutcome::Cached(output) => {
-            render_output(experiment, &output, true, None, wants_trace)
-        }
-        SubmitOutcome::Rejected { retry_after_ms } => render_rejected(retry_after_ms),
-        SubmitOutcome::Accepted(id) => match scheduler.wait(id, WAIT_CAP) {
-            Some(JobState::Done(output)) => {
-                render_output(experiment, &output, false, Some(id), wants_trace)
-            }
-            Some(JobState::Failed(err)) => render_error(Some(id), &err.reason()),
-            _ => render_accepted(id),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -539,7 +493,7 @@ mod tests {
                 cache_budget: 4 << 20,
             },
             loops: 2,
-            federation: FederationConfig::default(),
+            ..ServerConfig::default()
         })
         .expect("bind ephemeral");
         let addr = server.local_addr().expect("local addr");
@@ -572,7 +526,6 @@ mod tests {
                         | "cancelled"
                         | "stats"
                         | "shutdown"
-                        | "shard_result"
                 );
                 responses.push(value);
                 if terminal {
@@ -614,8 +567,7 @@ mod tests {
         // Satellite: connection-error counters are first-class stats.
         assert_eq!(responses[0].get("conn_errors").unwrap().as_u64(), Some(0));
         assert_eq!(responses[0].get("write_errors").unwrap().as_u64(), Some(0));
-        let federation = responses[0].get("federation").expect("federation stats");
-        assert_eq!(federation.get("role").unwrap().as_str(), Some("single"));
+        assert!(responses[0].get("federation").is_none());
         assert_eq!(responses[1].get("state").unwrap().as_str(), Some("unknown"));
         handle.join().expect("server exits cleanly");
     }
@@ -707,22 +659,39 @@ mod tests {
         handle.join().expect("server exits cleanly");
     }
 
+    /// Every closed watch connection leaves the subscriber list, so
+    /// alerts are never cloned for dead tokens and `watchers` counts
+    /// only live subscribers.
     #[test]
-    fn run_shard_replies_with_a_shard_result_line() {
+    fn closed_watch_connections_leave_the_watcher_list() {
         let (addr, handle) = spawn_server();
-        let responses = roundtrip(
-            addr,
-            &[
-                r#"{"type":"run_shard","experiment":"evaluate","benchmarks":["gobmk"],"runs":4,"shard_start":1,"shard_count":2}"#
-                    .to_string(),
-                r#"{"type":"shutdown"}"#.to_string(),
-            ],
-        );
-        let shard = &responses[0];
-        assert_eq!(shard.get("type").unwrap().as_str(), Some("shard_result"));
-        assert_eq!(shard.get("shard_start").unwrap().as_u64(), Some(1));
-        assert_eq!(shard.get("shard_count").unwrap().as_u64(), Some(2));
-        assert_eq!(shard.get("before_bits").unwrap().as_arr().unwrap().len(), 2);
+        let watchers = || {
+            let stats = roundtrip(addr, &[r#"{"type":"stats"}"#.to_string()]);
+            stats[0].get("watchers").unwrap().as_u64()
+        };
+        let mut open = Vec::new();
+        for n in 1..=5u64 {
+            let stream = TcpStream::connect(addr).expect("connect");
+            writeln!(&stream, r#"{{"type":"watch"}}"#).expect("send");
+            let mut ack = String::new();
+            BufReader::new(&stream)
+                .read_line(&mut ack)
+                .expect("recv ack");
+            let ack = Json::parse(&ack).expect("well-formed ack");
+            assert_eq!(ack.get("watchers").unwrap().as_u64(), Some(n));
+            open.push(stream);
+        }
+        assert_eq!(watchers(), Some(5));
+        drop(open);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while watchers() != Some(0) {
+            assert!(
+                Instant::now() < deadline,
+                "closed watch connections are still subscribed"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        roundtrip(addr, &[r#"{"type":"shutdown"}"#.to_string()]);
         handle.join().expect("server exits cleanly");
     }
 }
