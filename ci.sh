@@ -158,7 +158,16 @@ echo "$OUT" | grep -q '"type":"alert"' \
     || { echo "no alert record printed"; exit 1; }
 echo "$OUT" | grep -q '"old_window"' \
     || { echo "alert does not carry the offending window"; exit 1; }
-echo "sentinel smoke: clean stream silent, injected step alerted with windows"
+# An out-of-range verdict option is a usage error: exit 2 with the
+# usage, not a panic (exit 101) inside the detector.
+STATUS=0
+OUT="$("$SENTINEL" --confidence 1.5 target/sentinel-clean.jsonl 2>&1 >/dev/null)" \
+    || STATUS=$?
+[ "$STATUS" -eq 2 ] \
+    || { echo "--confidence 1.5 must exit 2, exited $STATUS"; exit 1; }
+echo "$OUT" | grep -q '^usage: sz-sentinel' \
+    || { echo "--confidence 1.5 did not print the usage"; exit 1; }
+echo "sentinel smoke: clean stream silent, injected step alerted with windows, bad option rejected"
 
 echo "==> loadgen smoke: 512 concurrent clients against a spawned server"
 # The event-loop front-end under real concurrency: 512 clients issuing

@@ -107,6 +107,14 @@ fn parse_options(args: Vec<String>) -> Result<(Options, bool), String> {
             file => options.files.push(file.to_string()),
         }
     }
+    // Checked here so a bad value is a usage error (exit 2), not the
+    // detector's construction panic (exit 101).
+    options
+        .config
+        .change
+        .verdict
+        .check()
+        .map_err(|e| format!("out-of-range option: {e}\n{}", usage()))?;
     Ok((options, anomalies))
 }
 
@@ -189,5 +197,54 @@ fn main() -> ExitCode {
             eprintln!("{message}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rejected(args: &[&str]) -> String {
+        match parse_options(args.iter().map(|a| a.to_string()).collect()) {
+            Ok(_) => panic!("{args:?} was accepted"),
+            Err(message) => {
+                assert!(message.contains("usage: sz-sentinel"), "{message}");
+                message
+            }
+        }
+    }
+
+    #[test]
+    fn confidence_above_one_is_a_usage_error() {
+        assert!(rejected(&["--confidence", "1.5", "t.jsonl"]).contains("confidence"));
+    }
+
+    #[test]
+    fn confidence_zero_is_a_usage_error() {
+        assert!(rejected(&["--confidence", "0"]).contains("confidence"));
+    }
+
+    #[test]
+    fn band_zero_is_a_usage_error() {
+        assert!(rejected(&["--band", "0"]).contains("band"));
+    }
+
+    #[test]
+    fn negative_band_is_a_usage_error() {
+        assert!(rejected(&["--band", "-0.1"]).contains("band"));
+    }
+
+    #[test]
+    fn one_resample_is_a_usage_error() {
+        assert!(rejected(&["--resamples", "1"]).contains("resamples"));
+    }
+
+    #[test]
+    fn in_range_options_parse() {
+        let args = ["--band", "0.2", "--confidence", "0.99", "--resamples", "2"];
+        let (options, _) = parse_options(args.iter().map(|a| a.to_string()).collect())
+            .expect("in-range options parse");
+        assert_eq!(options.config.change.verdict.band, 0.2);
+        assert_eq!(options.config.change.verdict.resamples, 2);
     }
 }

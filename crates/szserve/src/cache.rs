@@ -55,13 +55,6 @@ pub struct CacheKey {
     pub canonical: String,
 }
 
-impl CacheKey {
-    /// The key as 32 lowercase hex digits (the wire representation).
-    pub fn hex(&self) -> String {
-        format!("{:032x}", self.hash)
-    }
-}
-
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
 const FNV_PRIME: u128 = 0x0000000001000000000000000000013B;
 

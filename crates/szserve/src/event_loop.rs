@@ -171,7 +171,6 @@ impl NetStats {
 struct Completion {
     token: ConnToken,
     bytes: Vec<u8>,
-    close: bool,
 }
 
 /// Work pushed to a loop from other threads.
@@ -248,16 +247,11 @@ pub struct Completions {
 }
 
 impl Completions {
-    /// Delivers `bytes` as the pending reply of `token`'s connection,
-    /// optionally closing it after the flush. Dropped silently if the
-    /// connection is already gone.
-    pub fn send(&self, token: ConnToken, bytes: Vec<u8>, close: bool) {
+    /// Delivers `bytes` as the pending reply of `token`'s connection.
+    /// Dropped silently if the connection is already gone.
+    pub fn send(&self, token: ConnToken, bytes: Vec<u8>) {
         if let Some(core) = self.cores.get(token.loop_idx as usize) {
-            core.push_completion(Completion {
-                token,
-                bytes,
-                close,
-            });
+            core.push_completion(Completion { token, bytes });
         }
     }
 
@@ -583,10 +577,6 @@ fn deliver(
     };
     conn.inflight = false;
     conn.wbuf.extend_from_slice(&completion.bytes);
-    if completion.close {
-        conn.closing = true;
-        conn.deferred.clear();
-    }
     let token = ConnToken {
         loop_idx,
         conn_id: id,
@@ -750,7 +740,7 @@ mod tests {
                         .expect("wired");
                     std::thread::spawn(move || {
                         std::thread::sleep(std::time::Duration::from_millis(20));
-                        completions.send(token, b"deferred\n".to_vec(), false);
+                        completions.send(token, b"deferred\n".to_vec());
                     });
                     LineOutcome::Pending
                 }

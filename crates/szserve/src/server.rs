@@ -251,7 +251,7 @@ impl ServeHandler {
             JobState::Failed(err) => render_error(Some(id), &err.reason()),
             _ => unreachable!("settled above"),
         };
-        self.completions.send(waiter.token, bytes, false);
+        self.completions.send(waiter.token, bytes);
     }
 
     /// Feeds a settled job's captured trace through the sentinel and
@@ -294,7 +294,7 @@ impl ServeHandler {
         let watchers = state.watchers.clone();
         drop(state);
         for token in watchers {
-            self.completions.send(token, bytes.clone(), false);
+            self.completions.send(token, bytes.clone());
         }
     }
 
@@ -416,7 +416,7 @@ impl ConnHandler for ServeHandler {
                 .collect()
         };
         for (id, token) in expired {
-            self.completions.send(token, render_accepted(id), false);
+            self.completions.send(token, render_accepted(id));
         }
     }
 }

@@ -22,7 +22,9 @@
 //!   (Kalibera & Jones);
 //! - [`judge`] / [`judge_hierarchical`] — practical-equivalence
 //!   verdicts (`RobustlyFaster` / `RobustlySlower` / `Equivalent` /
-//!   `Inconclusive`) combining the bootstrap and Welch intervals;
+//!   `Inconclusive`) combining the bootstrap and Welch intervals, and
+//!   [`prejudge`], an exact pre-check that settles many calls from the
+//!   arms' extremes and moments alone;
 //! - [`reduce_suite`] — μOpTime-style static suite reduction by
 //!   stability metrics.
 //!
@@ -68,7 +70,9 @@ pub use qq::{qq_points, QqPoint};
 pub use reduce::{rank_stability, reduce_suite, BenchmarkArms, StabilityRow, SuiteReduction};
 pub use shapiro::{shapiro_wilk, ShapiroWilk};
 pub use ttest::{paired_t_test, student_t_test, welch_t_test, TTest};
-pub use verdict::{judge, judge_hierarchical, EffectVerdict, VerdictConfig, VerdictReport};
+pub use verdict::{
+    judge, judge_hierarchical, prejudge, EffectVerdict, Prejudged, VerdictConfig, VerdictReport,
+};
 pub use wilcoxon::{mann_whitney_u, wilcoxon_signed_rank, RankTest};
 
 /// Conventional significance threshold used throughout the paper.
