@@ -167,7 +167,17 @@ OUT="$("$SENTINEL" --confidence 1.5 target/sentinel-clean.jsonl 2>&1 >/dev/null)
     || { echo "--confidence 1.5 must exit 2, exited $STATUS"; exit 1; }
 echo "$OUT" | grep -q '^usage: sz-sentinel' \
     || { echo "--confidence 1.5 did not print the usage"; exit 1; }
-echo "sentinel smoke: clean stream silent, injected step alerted with windows, bad option rejected"
+# A hostile trace: one series whose seconds (1e200 and up) overflow
+# the Welch variance. The window cannot be judged, so the scan must
+# end silently with exit 0, not panic (exit 101) in the detector.
+{
+    printf '{"schema":1}\n'
+    for i in 0 1 2 3 4 5 6 7; do
+        printf '{"type":"run","benchmark":"b","run":%d,"seconds":1.0%de200}\n' "$i" "$i"
+    done
+} | "$SENTINEL" >/dev/null 2>&1 \
+    || { echo "a trace of 1e200-second runs must scan with exit 0"; exit 1; }
+echo "sentinel smoke: clean stream silent, injected step alerted with windows, bad option rejected, hostile magnitudes scanned"
 
 echo "==> loadgen smoke: 512 concurrent clients against a spawned server"
 # The event-loop front-end under real concurrency: 512 clients issuing

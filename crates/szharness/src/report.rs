@@ -264,9 +264,9 @@ impl std::error::Error for JsonParseError {}
 pub const MAX_DEPTH: usize = 128;
 
 /// One recursive walker serves both [`Json::parse`] and
-/// [`Json::parse_fields`]. With `keep` false a value is checked exactly
-/// as when kept, but nothing is allocated and an empty placeholder is
-/// returned.
+/// [`Json::parse_fields`]: `value` builds what it reads, and `skip`
+/// checks a value exactly as `value` would, with the same errors at the
+/// same offsets, but builds nothing.
 struct JsonParser<'a> {
     input: &'a str,
     bytes: &'a [u8],
@@ -286,7 +286,7 @@ impl<'a> JsonParser<'a> {
 
     fn document(&mut self, fields: Option<&[&str]>) -> Result<Json, JsonParseError> {
         self.skip_ws();
-        let value = self.value(true, fields)?;
+        let value = self.value(fields)?;
         self.skip_ws();
         if self.pos != self.bytes.len() {
             return Err(self.error("trailing characters after JSON value"));
@@ -320,34 +320,82 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, word: &str, value: Json) -> Result<Json, JsonParseError> {
+    fn eat_keyword(&mut self, word: &str) -> Result<(), JsonParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.error("invalid literal"))
         }
     }
 
     /// Parses one value. `fields`, when given, cuts an object at this
-    /// level down to the named keys; nested values are kept or skipped
-    /// whole.
-    fn value(&mut self, keep: bool, fields: Option<&[&str]>) -> Result<Json, JsonParseError> {
+    /// level down to the named keys; the other values are skipped.
+    fn value(&mut self, fields: Option<&[&str]>) -> Result<Json, JsonParseError> {
         match self.peek() {
-            Some(b'{') => self.object(keep, fields),
-            Some(b'[') => self.array(keep),
-            Some(b'"') => Ok(Json::Str(self.string(keep)?.into_owned())),
-            Some(b't') => self.eat_keyword("true", Json::Bool(true)),
-            Some(b'f') => self.eat_keyword("false", Json::Bool(false)),
-            Some(b'n') => self.eat_keyword("null", Json::Null),
+            Some(b'{') => self.object(fields),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b't') => self.eat_keyword("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.eat_keyword("false").map(|()| Json::Bool(false)),
+            Some(b'n') => self.eat_keyword("null").map(|()| Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
     }
 
+    /// Checks one value as [`JsonParser::value`] would, building
+    /// nothing.
+    fn skip(&mut self) -> Result<(), JsonParseError> {
+        match self.peek() {
+            Some(b'{') => {
+                if self.open(b'}')? {
+                    return Ok(());
+                }
+                loop {
+                    self.skip_ws();
+                    self.skip_string()?;
+                    self.colon()?;
+                    self.skip()?;
+                    if self.next_member(b'}', "expected ',' or '}' in object")? {
+                        return Ok(());
+                    }
+                }
+            }
+            Some(b'[') => {
+                if self.open(b']')? {
+                    return Ok(());
+                }
+                loop {
+                    self.skip_ws();
+                    self.skip()?;
+                    if self.next_member(b']', "expected ',' or ']' in array")? {
+                        return Ok(());
+                    }
+                }
+            }
+            Some(b'"') => self.skip_string(),
+            Some(b't') => self.eat_keyword("true"),
+            Some(b'f') => self.eat_keyword("false"),
+            Some(b'n') => self.eat_keyword("null"),
+            Some(b'-' | b'0'..=b'9') => {
+                let start = self.pos;
+                self.digits();
+                if self.plain_integer(start) {
+                    // Digits alone always parse: as a u64, or beyond
+                    // u64::MAX as a float.
+                    return Ok(());
+                }
+                self.float(start).map(drop)
+            }
+            _ => Err(self.error("expected a JSON value")),
+        }
+    }
+
     /// Consumes the opening bracket at the cursor, counting it against
-    /// [`MAX_DEPTH`].
-    fn open(&mut self) -> Result<(), JsonParseError> {
+    /// [`MAX_DEPTH`], and the whitespace after it. Returns whether the
+    /// container is empty, having consumed its `close` too.
+    fn open(&mut self, close: u8) -> Result<bool, JsonParseError> {
         if self.depth == MAX_DEPTH {
             return Err(JsonParseError {
                 offset: self.pos,
@@ -356,81 +404,102 @@ impl<'a> JsonParser<'a> {
         }
         self.depth += 1;
         self.pos += 1;
-        Ok(())
+        self.skip_ws();
+        let empty = self.peek() == Some(close);
+        if empty {
+            self.close();
+        }
+        Ok(empty)
     }
 
     /// Consumes the closing bracket at the cursor.
-    fn close(&mut self, container: Json) -> Json {
+    fn close(&mut self) {
         self.depth -= 1;
         self.pos += 1;
-        container
     }
 
-    fn object(&mut self, keep: bool, fields: Option<&[&str]>) -> Result<Json, JsonParseError> {
-        self.open()?;
+    /// Consumes the `:` after an object key, with the whitespace on
+    /// both sides.
+    fn colon(&mut self) -> Result<(), JsonParseError> {
+        self.skip_ws();
+        self.eat(b':', "expected ':' after object key")?;
+        self.skip_ws();
+        Ok(())
+    }
+
+    /// After a member: consumes a `,` (false) or the container's
+    /// `close` (true).
+    fn next_member(&mut self, close: u8, what: &str) -> Result<bool, JsonParseError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(false)
+            }
+            Some(c) if c == close => {
+                self.close();
+                Ok(true)
+            }
+            _ => Err(self.error(what)),
+        }
+    }
+
+    fn object(&mut self, fields: Option<&[&str]>) -> Result<Json, JsonParseError> {
         let mut kept = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            return Ok(self.close(Json::Obj(kept)));
+        if self.open(b'}')? {
+            return Ok(Json::Obj(kept));
         }
         loop {
             self.skip_ws();
-            let key = self.string(keep)?;
-            let keep_value = keep && fields.is_none_or(|keys| keys.contains(&key.as_ref()));
-            self.skip_ws();
-            self.eat(b':', "expected ':' after object key")?;
-            self.skip_ws();
-            let value = self.value(keep_value, None)?;
-            if keep_value {
+            let key = self.string()?;
+            self.colon()?;
+            if fields.is_none_or(|keys| keys.contains(&key.as_ref())) {
+                let value = self.value(None)?;
                 kept.push((key.into_owned(), value));
+            } else {
+                self.skip()?;
             }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => return Ok(self.close(Json::Obj(kept))),
-                _ => return Err(self.error("expected ',' or '}' in object")),
+            if self.next_member(b'}', "expected ',' or '}' in object")? {
+                return Ok(Json::Obj(kept));
             }
         }
     }
 
-    fn array(&mut self, keep: bool) -> Result<Json, JsonParseError> {
-        self.open()?;
+    fn array(&mut self) -> Result<Json, JsonParseError> {
         let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            return Ok(self.close(Json::Arr(items)));
+        if self.open(b']')? {
+            return Ok(Json::Arr(items));
         }
         loop {
             self.skip_ws();
-            let item = self.value(keep, None)?;
-            if keep {
-                items.push(item);
-            }
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => return Ok(self.close(Json::Arr(items))),
-                _ => return Err(self.error("expected ',' or ']' in array")),
+            items.push(self.value(None)?);
+            if self.next_member(b']', "expected ',' or ']' in array")? {
+                return Ok(Json::Arr(items));
             }
         }
     }
 
-    /// Parses a string. The text between escapes is copied a run at a
-    /// time: the delimiters (`"`, `\`, control bytes) are ASCII, so
-    /// every run of the `&str` input starts and ends on a char
-    /// boundary. An escape-free string borrows from the input; a
-    /// skipped one comes back empty.
-    fn string(&mut self, keep: bool) -> Result<Cow<'a, str>, JsonParseError> {
+    /// Advances over string text up to the next `"`, `\` or control
+    /// byte. These delimiters are ASCII, so every run of the `&str`
+    /// input starts and ends on a char boundary.
+    fn plain_run(&mut self) {
+        let run = self.pos;
+        self.pos += self.bytes[run..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .unwrap_or(self.bytes.len() - run);
+    }
+
+    /// Parses a string, copying the text between escapes a run at a
+    /// time. An escape-free string borrows from the input.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonParseError> {
         self.eat(b'"', "expected '\"'")?;
         let input = self.input;
         let start = self.pos;
         let mut unescaped: Option<String> = None;
         loop {
             let run = self.pos;
-            self.pos += self.bytes[run..]
-                .iter()
-                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
-                .unwrap_or(self.bytes.len() - run);
+            self.plain_run();
             if let Some(out) = &mut unescaped {
                 out.push_str(&input[run..self.pos]);
             }
@@ -438,18 +507,31 @@ impl<'a> JsonParser<'a> {
                 Some(b'"') => {
                     let raw = &input[start..self.pos];
                     self.pos += 1;
-                    return Ok(match unescaped {
-                        Some(out) => Cow::Owned(out),
-                        None if keep => Cow::Borrowed(raw),
-                        None => Cow::Borrowed(""),
-                    });
+                    return Ok(unescaped.map_or(Cow::Borrowed(raw), Cow::Owned));
                 }
                 Some(b'\\') => {
                     let before = &input[start..self.pos];
                     let c = self.escape()?;
-                    if keep {
-                        unescaped.get_or_insert_with(|| before.to_string()).push(c);
-                    }
+                    unescaped.get_or_insert_with(|| before.to_string()).push(c);
+                }
+                Some(_) => return Err(self.error("control character in string")),
+                None => return Err(self.error("unterminated string")),
+            }
+        }
+    }
+
+    /// Checks a string as [`JsonParser::string`] would.
+    fn skip_string(&mut self) -> Result<(), JsonParseError> {
+        self.eat(b'"', "expected '\"'")?;
+        loop {
+            self.plain_run();
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                Some(b'\\') => {
+                    self.escape()?;
                 }
                 Some(_) => return Err(self.error("control character in string")),
                 None => return Err(self.error("unterminated string")),
@@ -504,34 +586,48 @@ impl<'a> JsonParser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Json, JsonParseError> {
-        let start = self.pos;
-        // A plain unsigned integer that fits a u64 is accumulated
-        // straight from the bytes (trace records are mostly counters).
+    /// Advances over a run of ASCII digits and returns their value, or
+    /// `None` past `u64::MAX`.
+    fn digits(&mut self) -> Option<u64> {
         let mut value = Some(0u64);
         while let Some(d @ b'0'..=b'9') = self.peek() {
             value = value.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(d - b'0')));
             self.pos += 1;
         }
-        if self.pos > start && !matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+        value
+    }
+
+    /// Whether the digits read since `start` are a whole number: no
+    /// sign, fraction or exponent follows.
+    fn plain_integer(&self, start: usize) -> bool {
+        self.pos > start && !matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+    }
+
+    fn number(&mut self) -> Result<Json, JsonParseError> {
+        let start = self.pos;
+        // A plain unsigned integer that fits a u64 is accumulated
+        // straight from the bytes (trace records are mostly counters).
+        let value = self.digits();
+        if self.plain_integer(start) {
             if let Some(v) = value {
                 return Ok(Json::U64(v));
             }
         }
-        // Anything else (a sign, a fraction, an exponent, or more than
-        // u64::MAX) is a float.
+        self.float(start).map(Json::F64)
+    }
+
+    /// Reads the number at `start` as a float: anything else (a sign,
+    /// a fraction, an exponent, or more than u64::MAX).
+    fn float(&mut self, start: usize) -> Result<f64, JsonParseError> {
         self.pos = start;
         while let Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') = self.peek() {
             self.pos += 1;
         }
         let text = &self.input[start..self.pos];
-        match text.parse::<f64>() {
-            Ok(v) => Ok(Json::F64(v)),
-            Err(_) => Err(JsonParseError {
-                offset: start,
-                message: format!("invalid number {text:?}"),
-            }),
-        }
+        text.parse::<f64>().map_err(|_| JsonParseError {
+            offset: start,
+            message: format!("invalid number {text:?}"),
+        })
     }
 }
 

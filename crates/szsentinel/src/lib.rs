@@ -375,6 +375,129 @@ mod tests {
         assert!(first.contains("\"rank\":1"), "{first}");
     }
 
+    /// `runs` seeded run records of one series whose counters vary the
+    /// way a trace's do: `l3_misses` is constant (a constant feature
+    /// column), every seventh run repeats its predecessor's counters
+    /// (duplicate rows), and every eleventh run doubles its cache
+    /// misses (outliers).
+    fn counter_stream(runs: usize, seed: u64) -> String {
+        let mut rng = SplitMix64::new(seed);
+        let mut lines = vec!["{\"schema\":1}".to_string()];
+        let mut counters = [0u64; 9];
+        for run in 0..runs {
+            if run % 7 != 6 {
+                let scale = if run % 11 == 10 { 2 } else { 1 };
+                counters = [
+                    100_000 + rng.below(500),
+                    150_000 + rng.below(4_000),
+                    scale * (200 + rng.below(40)),
+                    scale * (900 + rng.below(300)),
+                    300 + rng.below(60),
+                    7,
+                    20 + rng.below(5),
+                    40 + rng.below(12),
+                    800 + rng.below(90),
+                ];
+            }
+            let [ins, cyc, l1i, l1d, l2, l3, itlb, dtlb, mis] = counters;
+            lines.push(format!(
+                concat!(
+                    "{{\"type\":\"run\",\"benchmark\":\"pin\",\"variant\":\"O2\",",
+                    "\"run\":{},\"seconds\":{},\"counters\":{{\"instructions\":{},",
+                    "\"cycles\":{},\"l1i_misses\":{},\"l1d_misses\":{},\"l2_misses\":{},",
+                    "\"l3_misses\":{},\"itlb_misses\":{},\"dtlb_misses\":{},",
+                    "\"branches\":20000,\"branch_mispredicts\":{}}}}}"
+                ),
+                run,
+                0.01 + 1e-5 * rng.next_f64(),
+                ins,
+                cyc,
+                l1i,
+                l1d,
+                l2,
+                l3,
+                itlb,
+                dtlb,
+                mis
+            ));
+        }
+        lines.join("\n")
+    }
+
+    fn anomaly_text(runs: usize, top_k: usize) -> String {
+        let config = SentinelConfig {
+            top_k,
+            ..SentinelConfig::default()
+        };
+        let mut sentinel = Sentinel::new(config);
+        for line in counter_stream(runs, 0xA90 + runs as u64).lines() {
+            sentinel.ingest_line(line).unwrap();
+        }
+        sentinel
+            .anomalies()
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |digest, byte| {
+            (digest ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Exact bytes of the anomaly pass on rings of 12 rows (every row
+    /// in each tree's subsample), 40 and 64 rows (subsamples of 32),
+    /// and a wrapped ring that kept the last 64 of 100 runs: the
+    /// default top 3 and every row ranked, as FNV-1a digests, recorded
+    /// when each tree partitioned index lists and walked every row.
+    #[test]
+    fn anomaly_records_are_byte_pinned() {
+        assert_eq!(
+            anomaly_text(12, 1),
+            concat!(
+                r#"{"type":"anomaly","detector":"isolation-forest","benchmark":"pin/O2","#,
+                r#""run":10,"sample":10,"score":0.6794366752348386,"rank":1,"of":12}"#
+            )
+        );
+        let digests: Vec<(usize, u64, u64)> = [12, 40, 64, 100]
+            .into_iter()
+            .map(|runs| {
+                (
+                    runs,
+                    fnv1a(&anomaly_text(runs, 3)),
+                    fnv1a(&anomaly_text(runs, usize::MAX)),
+                )
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                (12, 5577946031411760085, 15274607190681620778),
+                (40, 5437910503059700204, 3054011201637250656),
+                (64, 8207219227060989923, 7362335471627975117),
+                (100, 18185373209638081316, 3811216436550533261),
+            ]
+        );
+    }
+
+    /// A series whose `seconds` overflow the Welch variance: the
+    /// window is not judged, and nothing panics.
+    #[test]
+    fn hostile_magnitudes_scan_without_alerts() {
+        let mut trace = String::from("{\"schema\":1}\n");
+        for run in 0..8 {
+            trace.push_str(&format!(
+                "{{\"type\":\"run\",\"benchmark\":\"b\",\"run\":{run},\"seconds\":1.{run:02}e200}}\n"
+            ));
+        }
+        let mut sentinel = Sentinel::new(SentinelConfig::default());
+        let records = sentinel.scan(trace.as_bytes()).unwrap();
+        assert!(records.is_empty(), "{records:?}");
+        assert_eq!((sentinel.runs_seen(), sentinel.alerts_emitted()), (8, 0));
+    }
+
     #[test]
     fn malformed_line_is_an_error_but_unknown_type_is_not() {
         let mut sentinel = Sentinel::new(SentinelConfig::default());

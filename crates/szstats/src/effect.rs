@@ -7,7 +7,7 @@
 //! module provides both.
 
 use crate::desc::{mean, sample_variance};
-use crate::dist::StudentT;
+use crate::dist::{Normal, StudentT};
 use crate::error::check_finite;
 use crate::StatError;
 
@@ -65,6 +65,11 @@ pub fn diff_half_width(a: &[f64], b: &[f64], confidence: f64) -> Result<f64, Sta
 /// Upper quantile `t*` with `P(|T| <= t*) = confidence`, found by
 /// bisection on the CDF (the CDF is strictly increasing, so 80
 /// iterations pin the quantile to ~1e-12).
+///
+/// No Student-t quantile lies below the normal one, but the CDF loses
+/// precision where `t²/df` nears machine epsilon (large `df`, or a
+/// confidence near 0 or 1), so the bisected value is floored at the
+/// normal quantile.
 fn t_critical(df: f64, confidence: f64) -> f64 {
     let p = 0.5 + confidence / 2.0;
     let t = StudentT::new(df);
@@ -80,7 +85,14 @@ fn t_critical(df: f64, confidence: f64) -> f64 {
             break;
         }
     }
-    0.5 * (lo + hi)
+    let bisected = 0.5 * (lo + hi);
+    // A confidence within 2^-53 of 1 rounds `p` up to 1, which has no
+    // normal quantile.
+    if p < 1.0 {
+        bisected.max(Normal::quantile(p))
+    } else {
+        bisected
+    }
 }
 
 /// Student-t confidence interval for a sample mean.
@@ -134,7 +146,10 @@ pub fn mean_ci(data: &[f64], confidence: f64) -> Result<ConfidenceInterval, Stat
 /// # Errors
 ///
 /// Same conditions as [`mean_ci`]; additionally
-/// [`StatError::ZeroVariance`] when both samples are constant.
+/// [`StatError::ZeroVariance`] when both samples are constant, and
+/// [`StatError::NonFinite`] when the variances overflow or the
+/// Welch–Satterthwaite degrees of freedom do (finite arms spread wider
+/// than about 1e154, or varying by less than about 1e-154).
 pub fn diff_ci(a: &[f64], b: &[f64], confidence: f64) -> Result<ConfidenceInterval, StatError> {
     assert!(
         confidence > 0.0 && confidence < 1.0,
@@ -156,6 +171,9 @@ pub fn diff_ci(a: &[f64], b: &[f64], confidence: f64) -> Result<ConfidenceInterv
         return Err(StatError::ZeroVariance);
     }
     let df = se2 * se2 / ((va / na) * (va / na) / (na - 1.0) + (vb / nb) * (vb / nb) / (nb - 1.0));
+    if !se2.is_finite() || !df.is_finite() {
+        return Err(StatError::NonFinite);
+    }
     let d = mean(a) - mean(b);
     let t = t_critical(df, confidence);
     let se = se2.sqrt();
@@ -205,6 +223,64 @@ mod tests {
         assert!((t_critical(29.0, 0.95) - 2.045_229_64).abs() < 1e-4);
         // Large df approaches the normal 1.96.
         assert!((t_critical(1e6, 0.95) - 1.959_96).abs() < 1e-3);
+    }
+
+    /// Every (df, confidence) on a log grid from df 1 to 1e9 and
+    /// confidence 1e-6 to 1 − 1e-15 gives a t quantile at or above the
+    /// normal one.
+    #[test]
+    fn t_critical_is_never_below_the_normal_quantile() {
+        let confidences = [
+            1e-6,
+            1e-3,
+            0.1,
+            0.5,
+            0.9,
+            0.95,
+            0.99,
+            1.0 - 1e-6,
+            1.0 - 1e-9,
+            1.0 - 1e-12,
+            1.0 - 1e-15,
+        ];
+        for exponent in 0..=36 {
+            let df = 10f64.powf(f64::from(exponent) / 4.0);
+            for &confidence in &confidences {
+                let z = Normal::quantile(0.5 + confidence / 2.0);
+                let t = t_critical(df, confidence);
+                assert!(t >= z, "df {df}, confidence {confidence}: t {t} < z {z}");
+            }
+        }
+    }
+
+    /// Two 5,001-value arms (df ≈ 1e4) at confidence 1e-6: the
+    /// bisection alone gave a margin of 9.54e-7 standard errors,
+    /// below z = 1.25e-6.
+    #[test]
+    fn welch_margin_is_at_least_the_normal_margin() {
+        let a: Vec<f64> = (0..5_001).map(|i| 10.0 + 0.01 * (i % 17) as f64).collect();
+        let ci = diff_ci(&a, &a, 1e-6).unwrap();
+        let se = (2.0 * sample_variance(&a) / a.len() as f64).sqrt();
+        let z = Normal::quantile(0.5 + 1e-6 / 2.0);
+        assert!(
+            ci.margin() >= z * se * (1.0 - 1e-12),
+            "{ci:?}, z·se {}",
+            z * se
+        );
+    }
+
+    /// Positive finite arms whose variance or degrees of freedom
+    /// overflow are an error, not a panic inside `StudentT::new`.
+    #[test]
+    fn overflowing_welch_terms_are_non_finite() {
+        assert_eq!(
+            diff_ci(&[1e200, 2e200], &[1.5e200, 2.5e200], 0.95),
+            Err(StatError::NonFinite)
+        );
+        assert_eq!(
+            diff_ci(&[1e-100, 1.01e-100], &[1.02e-100, 1.03e-100], 0.95),
+            Err(StatError::NonFinite)
+        );
     }
 
     #[test]

@@ -423,6 +423,22 @@ mod tests {
         assert_eq!(r.verdict, EffectVerdict::RobustlyFaster);
     }
 
+    /// Positive finite arms whose Welch variance or degrees of freedom
+    /// overflow are an error, not a panic.
+    #[test]
+    fn arms_beyond_the_welch_range_are_an_error() {
+        let verdict = |a: &[f64], b: &[f64]| judge(a, b, &cfg()).map(|r| r.verdict);
+        assert_eq!(
+            verdict(&[1e200, 2e200], &[1.5e200, 2.5e200]),
+            Err(StatError::NonFinite)
+        );
+        let tiny = |base: f64| [base, base * 1.01, base * 1.02, base * 1.03];
+        assert_eq!(
+            verdict(&tiny(1e-100), &tiny(1.04e-100)),
+            Err(StatError::NonFinite)
+        );
+    }
+
     #[test]
     fn welch_must_agree_for_a_robust_call() {
         // A ratio CI that clears the band but a Welch interval that

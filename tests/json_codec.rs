@@ -173,6 +173,128 @@ fn number_shapes_parse_exactly() {
     }
 }
 
+/// Number texts, escapes, literals and containers, well formed or not,
+/// for the dropped fields of `parse_fields`.
+fn skip_fragments() -> Vec<String> {
+    let mut fragments: Vec<String> = [
+        "0",
+        "18446744073709551615",
+        "18446744073709551616",
+        "340282366920938463463374607431768211456",
+        "-",
+        "1e",
+        "01",
+        "-0",
+        "-01",
+        "1.5e+3",
+        "1E5",
+        "1e400",
+        "-1e-400",
+        "1.",
+        ".5",
+        "-.5",
+        "1.2.3",
+        "+1",
+        "1-2",
+        "1e+",
+        "0x10",
+        r#""plain""#,
+        r#""a\n\t\/\"\\é😀z""#,
+        r#""\ud83d""#,
+        r#""\ud83dx""#,
+        r#""\ud83dA""#,
+        r#""\udc00""#,
+        r#""\q""#,
+        r#""\u12""#,
+        r#""\u12G4""#,
+        r#""\"#,
+        "\"ctl\u{1}\"",
+        "\"unterminated",
+        "true",
+        "tru",
+        "nul",
+        "falsey",
+        "[ ]",
+        "{ }",
+        "[1 ,2]",
+        r#"{"a" : 1 }"#,
+        r#"{"é":[{"😀":null}]}"#,
+        "[1,]",
+        "[1 2]",
+        r#"{"a"}"#,
+        r#"{"a":}"#,
+        "{1:2}",
+        r#"{"a":1,}"#,
+        "[",
+        "{",
+        "]",
+        "",
+    ]
+    .map(str::to_string)
+    .to_vec();
+    // With the top-level object, 127 brackets nest 128 deep (the
+    // limit) and 128 nest 129 deep.
+    for depth in [127, 128] {
+        fragments.push(format!("{}{}", "[".repeat(depth), "]".repeat(depth)));
+        fragments.push(format!(
+            "{}1{}",
+            r#"{"k":"#.repeat(depth),
+            "}".repeat(depth)
+        ));
+    }
+    fragments
+}
+
+/// `parse_fields` checks the values it drops without building them. On
+/// every fragment, placed in a dropped value or key at several depths,
+/// it returns `parse`'s value cut down to the named key, or `parse`'s
+/// exact error.
+#[test]
+fn skipped_values_are_checked_like_parsed_ones() {
+    let templates: [fn(&str) -> String; 7] = [
+        |f| format!(r#"{{"keep":1,"drop":{f}}}"#),
+        |f| format!(r#"{{"drop":{f},"keep":[2]}}"#),
+        |f| format!(r#"{{"drop":[0,{f},3],"keep":"x"}}"#),
+        |f| format!(r#"{{"keep":{{}},"drop":{{"inner":{f}}}}}"#),
+        |f| format!(r#"{{"dröp":{f},"keep":1}}"#),
+        |f| format!(r#"{{"😀\n" : {f} , "keep":1}}"#),
+        |f| format!(r#"{{"keep":1,{f}:2}}"#),
+    ];
+    let (mut accepted, mut rejected) = (0, 0);
+    for fragment in skip_fragments() {
+        for template in templates {
+            let doc = template(&fragment);
+            match (Json::parse(&doc), Json::parse_fields(&doc, &["keep"])) {
+                (Ok(full), Ok(part)) => {
+                    assert_eq!(part, restrict(full, &["keep"]), "{doc}");
+                    accepted += 1;
+                }
+                (Err(full), Err(part)) => {
+                    assert_eq!(part, full, "{doc}");
+                    rejected += 1;
+                }
+                (full, part) => panic!("parse gave {full:?} but parse_fields gave {part:?}: {doc}"),
+            }
+        }
+    }
+    assert!(accepted > 100 && rejected > 150, "{accepted} / {rejected}");
+    let deepest = format!(
+        r#"{{"drop":{}{},"keep":1}}"#,
+        "[".repeat(127),
+        "]".repeat(127)
+    );
+    assert_eq!(
+        Json::parse_fields(&deepest, &["keep"]).map(|v| v.to_string()),
+        Ok(r#"{"keep":1}"#.to_string())
+    );
+    let too_deep = format!(r#"{{"drop":{}{}}}"#, "[".repeat(128), "]".repeat(128));
+    let err = Json::parse_fields(&too_deep, &["keep"]).unwrap_err();
+    assert_eq!(
+        (err.offset, err.message.as_str()),
+        (8 + 127, "arrays and objects nest deeper than 128")
+    );
+}
+
 /// Escapes `s` by hand, choosing per character between the raw
 /// character (where JSON allows it), its short escape, `\uXXXX`, and
 /// for astral characters a UTF-16 surrogate pair.
