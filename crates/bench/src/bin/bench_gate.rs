@@ -23,9 +23,14 @@
 //! latency gate against freshly measured files without re-reading the
 //! interpreter sections.
 //!
+//! Samples are compared only like with like: a fresh file whose
+//! top-level `machine` or `schema_version`, or a judged section's
+//! `threads`, differs from the baseline's is refused with exit 2, and
+//! the message names the field and both values.
+//!
 //! Requires `schema_version` >= 5 baselines (per-sample arrays; the
 //! `loadgen` gate needs >= 6); exit codes: 0 pass, 1 regression,
-//! 2 usage/parse error.
+//! 2 usage/parse error or configuration mismatch.
 
 use std::process::ExitCode;
 
@@ -64,6 +69,45 @@ fn samples(doc: &Json, section: &str, key: &str, path: &str) -> Result<Vec<f64>,
         return Err(format!("{path}: {section}.{key} must be >= 2 numbers"));
     }
     Ok(out)
+}
+
+/// Top-level fields that must match between baseline and fresh files.
+const SAME_FIELDS: [&str; 2] = ["machine", "schema_version"];
+
+/// Errors unless `fresh` was recorded under the baseline's
+/// configuration: the same `machine` and `schema_version`, and the
+/// same `threads` in each of `sections` (absent counts as a value).
+fn check_comparable(
+    baseline: &Json,
+    fresh: &Json,
+    path: &str,
+    sections: &[&str],
+) -> Result<(), String> {
+    fn threads<'a>(doc: &'a Json, section: &str) -> Option<&'a Json> {
+        doc.get(section).and_then(|s| s.get("threads"))
+    }
+    let fields = SAME_FIELDS
+        .iter()
+        .map(|&key| (key.to_string(), baseline.get(key), fresh.get(key)))
+        .chain(sections.iter().map(|&section| {
+            (
+                format!("{section}.threads"),
+                threads(baseline, section),
+                threads(fresh, section),
+            )
+        }));
+    for (field, want, got) in fields {
+        if want != got {
+            let show = |v: Option<&Json>| v.map_or_else(|| "absent".to_string(), Json::to_string);
+            return Err(format!(
+                "{path}: {field} is {} but the baseline's is {}; \
+                 samples from different configurations cannot be compared",
+                show(got),
+                show(want)
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn run() -> Result<bool, String> {
@@ -115,15 +159,21 @@ fn run() -> Result<bool, String> {
         .iter()
         .map(|p| load(p).map(|doc| (p.clone(), doc)))
         .collect::<Result<_, _>>()?;
+    let gates: Vec<(&str, &str, &str)> = GATES
+        .into_iter()
+        .filter(|(label, _, _)| {
+            selected
+                .as_ref()
+                .is_none_or(|list| list.iter().any(|l| l == label))
+        })
+        .collect();
+    let sections: Vec<&str> = gates.iter().map(|&(_, section, _)| section).collect();
+    for (path, doc) in &fresh {
+        check_comparable(&baseline, doc, path, &sections)?;
+    }
 
     let mut failed = Vec::new();
-    for (label, section, key) in GATES {
-        if selected
-            .as_ref()
-            .is_some_and(|list| !list.iter().any(|l| l == label))
-        {
-            continue;
-        }
+    for (label, section, key) in gates {
         let base_arm = vec![samples(&baseline, section, key, baseline_path)?];
         let fresh_arm: Vec<Vec<f64>> = fresh
             .iter()
@@ -175,6 +225,43 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn different_configurations_are_refused() {
+        let doc = |machine: &str, schema: u64, threads: u64| {
+            Json::parse(&format!(
+                r#"{{"schema_version":{schema},"machine":"{machine}","fig6_quick":{{"threads":{threads}}},"loadgen":{{}}}}"#
+            ))
+            .unwrap()
+        };
+        let baseline = doc("core_i3_550", 6, 1);
+        let sections = ["fig6_quick", "loadgen"];
+        assert_eq!(
+            check_comparable(&baseline, &doc("core_i3_550", 6, 1), "f.json", &sections),
+            Ok(())
+        );
+        for (fresh, field, got, want) in [
+            (doc("core_i3_550", 6, 2), "fig6_quick.threads", "2", "1"),
+            (doc("tiny", 6, 1), "machine", "\"tiny\"", "\"core_i3_550\""),
+            (doc("core_i3_550", 7, 1), "schema_version", "7", "6"),
+        ] {
+            let err = check_comparable(&baseline, &fresh, "f.json", &sections).unwrap_err();
+            assert!(
+                err.starts_with(&format!(
+                    "f.json: {field} is {got} but the baseline's is {want};"
+                )),
+                "{err}"
+            );
+        }
+        // A section that is not judged is not compared.
+        assert_eq!(
+            check_comparable(&baseline, &doc("core_i3_550", 6, 2), "f.json", &["loadgen"]),
+            Ok(())
+        );
+        let missing = Json::parse(r#"{"schema_version":6,"machine":"core_i3_550"}"#).unwrap();
+        let err = check_comparable(&baseline, &missing, "f.json", &sections).unwrap_err();
+        assert!(err.contains("fig6_quick.threads is absent"), "{err}");
+    }
 
     #[test]
     fn samples_extracts_and_validates() {

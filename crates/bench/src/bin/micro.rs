@@ -209,14 +209,15 @@ fn main() {
     out.push('\n');
 
     // End-to-end simulator speed: three quick Figure 6 sweeps, wall
-    // clock, run through the harness pool on every core the machine
-    // has (the pool is bit-identical for any thread count, so this
-    // only changes the wall clock — and the count is recorded in the
-    // JSON so baselines from different machines are comparable).
-    // Three timed repeats give the regression gate per-run samples
-    // instead of a single point estimate.
+    // clock, on one pool thread. The pool is bit-identical for any
+    // thread count, so the count only changes the wall clock; it is
+    // pinned to the one the committed baseline was recorded with, and
+    // recorded in the JSON, where `bench_gate` refuses to compare
+    // samples taken at different counts. Three timed repeats give the
+    // regression gate per-run samples instead of a single point
+    // estimate.
     let mut opts = ExperimentOptions::quick();
-    opts.threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    opts.threads = 1;
     let mut fig6_walls = [0.0f64; 3];
     let mut fig6_benchmarks = 0;
     for wall in &mut fig6_walls {

@@ -61,6 +61,19 @@ pub trait Allocator {
     /// base allocators panic.
     fn malloc(&mut self, size: u64) -> Option<u64>;
 
+    /// Allocates `n` objects of `size` bytes, appending their
+    /// addresses to `out` in the order `n` successive
+    /// [`Allocator::malloc`] calls return them, and stops at the first
+    /// `None`: fewer than `n` new addresses means the region ran out
+    /// partway. The shuffling layer fills a size class with it.
+    ///
+    /// The default makes exactly those calls. An allocator may serve
+    /// the batch another way, but it must return the same addresses and
+    /// leave the same state.
+    fn malloc_n(&mut self, size: u64, n: usize, out: &mut Vec<u64>) {
+        malloc_each(self, size, n, out);
+    }
+
     /// Releases an allocation.
     ///
     /// # Panics
@@ -86,6 +99,22 @@ pub trait Allocator {
 
     /// Bytes currently handed out to the caller.
     fn live_bytes(&self) -> u64;
+}
+
+/// [`Allocator::malloc_n`] as `n` successive `malloc` calls, stopping at
+/// the first `None`.
+pub(crate) fn malloc_each<A: Allocator + ?Sized>(
+    alloc: &mut A,
+    size: u64,
+    n: usize,
+    out: &mut Vec<u64>,
+) {
+    for _ in 0..n {
+        match alloc.malloc(size) {
+            Some(addr) => out.push(addr),
+            None => return,
+        }
+    }
 }
 
 /// Rounds `size` up to the next power of two, with a floor of

@@ -159,8 +159,26 @@ impl LiveMap {
         Some(val)
     }
 
+    /// Makes room for `additional` more keys with at most one resize:
+    /// the table grows straight to the capacity that many inserts of
+    /// new keys would have doubled it to.
+    pub fn reserve(&mut self, additional: usize) {
+        let need = self.len + additional;
+        let mut capacity = self.mask + 1;
+        while need * 8 > capacity * 7 {
+            capacity *= 2;
+        }
+        if capacity > self.mask + 1 {
+            self.rehash(capacity);
+        }
+    }
+
     fn grow(&mut self) {
-        let mut bigger = Self::with_pow2_capacity((self.mask + 1) * 2);
+        self.rehash((self.mask + 1) * 2);
+    }
+
+    fn rehash(&mut self, capacity: usize) {
+        let mut bigger = Self::with_pow2_capacity(capacity);
         for (&k, &v) in self.keys.iter().zip(self.vals.iter()) {
             if k != EMPTY {
                 bigger.insert(k, v);
@@ -206,6 +224,29 @@ mod tests {
         assert_eq!(m.len(), 10_000);
         for i in 0..10_000u64 {
             assert_eq!(m.get(0x10_0000 + i * 16), Some(i));
+        }
+    }
+
+    #[test]
+    fn reserve_grows_once_to_the_capacity_inserts_reach() {
+        for (before, additional) in [(0, 0), (0, 56), (0, 57), (0, 256), (40, 300), (500, 1)] {
+            let mut grown = LiveMap::new();
+            let mut reserved = LiveMap::new();
+            for i in 0..before as u64 {
+                grown.insert(i * 16, i);
+                reserved.insert(i * 16, i);
+            }
+            reserved.reserve(additional);
+            let capacity = reserved.mask + 1;
+            for i in before as u64..(before + additional) as u64 {
+                grown.insert(i * 16, i);
+                reserved.insert(i * 16, i);
+            }
+            assert_eq!(reserved.mask + 1, capacity, "no grow after reserve");
+            assert_eq!(reserved.mask, grown.mask, "{before} + {additional}");
+            for i in 0..(before + additional) as u64 {
+                assert_eq!(reserved.get(i * 16), Some(i));
+            }
         }
     }
 

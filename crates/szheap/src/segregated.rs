@@ -1,6 +1,6 @@
 //! The power-of-two, size-segregated base allocator (§3.2).
 
-use crate::{size_class, Allocator, LiveMap, Region};
+use crate::{malloc_each, size_class, Allocator, LiveMap, Region};
 
 /// Smallest size class in bytes (also the alignment guarantee).
 const MIN_CLASS: u64 = 16;
@@ -55,6 +55,33 @@ impl Allocator for SegregatedAllocator {
         self.live.insert(addr, size);
         self.live_bytes += size;
         Some(addr)
+    }
+
+    /// One carve serves the whole batch when every one of the `n`
+    /// mallocs would carve, that is when the class's free list is
+    /// empty. It returns the blocks `n` carves would: the first is
+    /// aligned up to the class, and each next one starts where the last
+    /// ended, which is aligned already. A batch that would run out
+    /// partway takes the per-object path, so the blocks it does get,
+    /// and the state it leaves, are those of `n` mallocs.
+    fn malloc_n(&mut self, size: u64, n: usize, out: &mut Vec<u64>) {
+        let class = Self::class_for(size).filter(|&class| {
+            size > 0 && n > 0 && self.free[class.trailing_zeros() as usize].is_empty()
+        });
+        let bulk = class.and_then(|class| {
+            let first = self.region.carve(class.checked_mul(n as u64)?, class)?;
+            Some((first, class))
+        });
+        let Some((first, class)) = bulk else {
+            return malloc_each(self, size, n, out);
+        };
+        self.live.reserve(n);
+        for i in 0..n as u64 {
+            let addr = first + i * class;
+            self.live.insert(addr, size);
+            out.push(addr);
+        }
+        self.live_bytes += n as u64 * size;
     }
 
     fn free(&mut self, addr: u64) {

@@ -9,6 +9,11 @@
 //! one — each operation is one step of an inside-out Fisher–Yates
 //! shuffle, so the stream of returned addresses is a random
 //! interleaving of base-heap objects.
+//!
+//! The fill is one [`Allocator::malloc_n`] call. The segregated base
+//! serves it with one carve, and every base returns exactly the objects
+//! `N` separate mallocs would, so the layer's addresses are those of
+//! the paper's eager fill.
 
 use sz_rng::{fisher_yates, Rng};
 
@@ -67,22 +72,19 @@ impl<A: Allocator, R: Rng> ShuffleLayer<A, R> {
 
     /// Fills and shuffles the array for class exponent `k` (§3.2:
     /// "initialized with a fill: N calls to Base::malloc ... then the
-    /// array is shuffled using the Fisher-Yates shuffle").
+    /// array is shuffled using the Fisher-Yates shuffle"). The N calls
+    /// are one [`Allocator::malloc_n`], which returns what they would.
     fn ensure_array(&mut self, k: usize, class: u64) -> Option<()> {
         if self.arrays[k].is_none() {
             let mut array = Vec::with_capacity(self.shuffle_size);
-            for _ in 0..self.shuffle_size {
-                match self.base.malloc(class) {
-                    Some(p) => array.push(p),
-                    None => {
-                        // Mid-fill exhaustion: hand the partial fill
-                        // back so the failed attempt leaks nothing.
-                        for p in array {
-                            self.base.free(p);
-                        }
-                        return None;
-                    }
+            self.base.malloc_n(class, self.shuffle_size, &mut array);
+            if array.len() < self.shuffle_size {
+                // Mid-fill exhaustion: hand the partial fill back so
+                // the failed attempt leaks nothing.
+                for p in array {
+                    self.base.free(p);
                 }
+                return None;
             }
             fisher_yates(&mut array, &mut self.rng);
             self.arrays[k] = Some(array);

@@ -54,12 +54,16 @@ pub trait Rng {
         if bound.is_power_of_two() {
             return self.next_u64() & (bound - 1);
         }
-        // Rejection sampling over the largest multiple of `bound`.
-        let zone = u64::MAX - (u64::MAX % bound);
+        // Rejection sampling over the largest multiple of `bound`
+        // that fits in a `u64`, `zone = u64::MAX - u64::MAX % bound`.
+        // `v < zone` holds exactly when the next multiple of `bound`
+        // above `v - v % bound` still fits, so the one division that
+        // yields the result also decides acceptance.
         loop {
             let v = self.next_u64();
-            if v < zone {
-                return v % bound;
+            let r = v % bound;
+            if (v - r).checked_add(bound).is_some() {
+                return r;
             }
         }
     }
@@ -138,6 +142,54 @@ mod tests {
                     assert!(v < bound, "{name}: {v} >= {bound}");
                 }
             }
+        }
+    }
+
+    /// `below` as it was first written: the rejection zone from one
+    /// division, the result from a second.
+    fn below_two_divisions(rng: &mut dyn Rng, bound: u64) -> u64 {
+        if bound.is_power_of_two() {
+            return rng.next_u64() & (bound - 1);
+        }
+        let zone = u64::MAX - (u64::MAX % bound);
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return v % bound;
+            }
+        }
+    }
+
+    #[test]
+    fn below_matches_the_two_division_formula() {
+        // 2^63 + 1 rejects almost half of all draws, and a third of all
+        // draws fall in the last whole multiple of u64::MAX / 3, so an
+        // accept test that is off by one at the zone's edge shows.
+        let bounds = [
+            1,
+            3,
+            255,
+            (1 << 32) - 1,
+            (1 << 32) + 1,
+            (1 << 63) + 1,
+            u64::MAX / 3,
+            u64::MAX,
+        ];
+        for ((name, mut ours), (_, mut oracle)) in generators().into_iter().zip(generators()) {
+            for bound in bounds {
+                for i in 0..2_000 {
+                    assert_eq!(
+                        ours.below(bound),
+                        below_two_divisions(oracle.as_mut(), bound),
+                        "{name}: draw {i} below {bound:#x}"
+                    );
+                }
+            }
+            assert_eq!(
+                ours.next_u64(),
+                oracle.next_u64(),
+                "{name}: same draws spent"
+            );
         }
     }
 

@@ -423,8 +423,9 @@ mod tests {
         assert_eq!(r.verdict, EffectVerdict::RobustlyFaster);
     }
 
-    /// Positive finite arms whose Welch variance or degrees of freedom
-    /// overflow are an error, not a panic.
+    /// Positive finite arms whose Welch variance overflows are an
+    /// error, not a panic; arms small enough to underflow the Welch
+    /// df's squares get the verdict of their unit-scale copies.
     #[test]
     fn arms_beyond_the_welch_range_are_an_error() {
         let verdict = |a: &[f64], b: &[f64]| judge(a, b, &cfg()).map(|r| r.verdict);
@@ -434,8 +435,12 @@ mod tests {
         );
         let tiny = |base: f64| [base, base * 1.01, base * 1.02, base * 1.03];
         assert_eq!(
+            verdict(&tiny(1.0), &tiny(1.04)),
+            Ok(EffectVerdict::Inconclusive)
+        );
+        assert_eq!(
             verdict(&tiny(1e-100), &tiny(1.04e-100)),
-            Err(StatError::NonFinite)
+            Ok(EffectVerdict::Inconclusive)
         );
     }
 
