@@ -101,10 +101,11 @@ echo "==> statistics calibration: bootstrap CI coverage self-test (release, 300 
 SZ_COVERAGE_TRIALS=300 cargo test -q --release --offline \
     --test statistics_validation effect_ci_coverage_matches_nominal
 
-echo "==> sz-serve smoke: daemon round-trip with a cache hit"
+echo "==> sz-serve smoke: daemon round-trip with cache hits"
 # Start the daemon on an ephemeral port, make the same quick request
-# twice (the second must be a cache hit), and shut it down cleanly —
-# all within a bounded timeout.
+# twice (the second must be a cache hit), replay a traced request from
+# the cache byte for byte, check that the adaptive band enters the
+# cache key, and shut down cleanly — all within a bounded timeout.
 SERVE_LOG="target/sz-serve-smoke.log"
 cargo run -q --release --offline -p sz-serve --bin sz-serve -- \
     --addr 127.0.0.1:0 --workers 1 --queue 4 >"$SERVE_LOG" 2>&1 &
@@ -128,6 +129,28 @@ SZCTL="target/release/szctl"
 # (8 samples = exactly two 4-sample detector windows per series).
 "$SZCTL" --addr "$SERVE_ADDR" --json run evaluate --bench bzip2 --runs 8 --trace \
     >target/sentinel-clean.jsonl
+# The same traced request again is a hit: its trace lines must equal
+# the miss's byte for byte, and its terminal line must be the miss's
+# without "job" and with "cached" flipped to true.
+"$SZCTL" --addr "$SERVE_ADDR" --json run evaluate --bench bzip2 --runs 8 --trace \
+    >target/serve-hit.jsonl
+sed '$d' target/sentinel-clean.jsonl >target/serve-miss-trace.jsonl
+sed '$d' target/serve-hit.jsonl >target/serve-hit-trace.jsonl
+cmp -s target/serve-miss-trace.jsonl target/serve-hit-trace.jsonl \
+    || { echo "the traced hit does not replay the miss's trace"; exit 1; }
+HIT_LINE="$(tail -n 1 target/sentinel-clean.jsonl \
+    | sed -e 's/"job":[0-9]*,//' -e 's/"cached":false/"cached":true/')"
+[ "$(tail -n 1 target/serve-hit.jsonl)" = "$HIT_LINE" ] \
+    || { echo "the hit's terminal line is not the miss's, uncached"; exit 1; }
+# Requests that differ only in the adaptive band are two cache keys.
+"$SZCTL" --addr "$SERVE_ADDR" --json run evaluate --bench hmmer --runs 8 \
+    --adaptive --band 0.05 >/dev/null
+OUT="$("$SZCTL" --addr "$SERVE_ADDR" --json run evaluate --bench hmmer --runs 8 \
+    --adaptive --band 0.5)"
+echo "$OUT" | grep -q '"cached":false' \
+    || { echo "a request with another band was served from the cache"; exit 1; }
+echo "$OUT" | grep -q '"band":0.5' \
+    || { echo "the band 0.5 request does not report its band"; exit 1; }
 "$SZCTL" --addr "$SERVE_ADDR" shutdown >/dev/null
 for _ in $(seq 1 100); do
     kill -0 "$SERVE_PID" 2>/dev/null || break
@@ -139,7 +162,7 @@ if kill -0 "$SERVE_PID" 2>/dev/null; then
     exit 1
 fi
 trap - EXIT
-echo "sz-serve smoke: miss, hit, stats, clean shutdown"
+echo "sz-serve smoke: miss, hit, stats, byte-identical traced hit, band keyed, clean shutdown"
 
 echo "==> sentinel smoke: clean trace silent, injected regression caught"
 # Offline scan of the trace recorded above: a clean stream must exit 0

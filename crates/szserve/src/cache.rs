@@ -20,30 +20,41 @@
 //! 3. the workload scale's wire name;
 //! 4. `runs`, `seed_base`, and the re-randomization interval as the
 //!    raw bits of its `f64` nanosecond value;
-//! 5. the full machine configuration (`Debug` form of
-//!    [`sz_machine::MachineConfig`] — every cache/TLB geometry, cost,
-//!    and clock field);
-//! 6. the layout-engine configuration (`Debug` form of
-//!    [`stabilizer::Config`] with the per-run seed zeroed — the real
-//!    seeds derive from `seed_base`, which is already in the key);
-//! 7. for `evaluate`: the before/after optimization levels and the
-//!    adaptive parameters (half-width bits, confidence bits, batch,
-//!    min/max runs) or `fixed`.
+//! 5. a fingerprint of the machine and layout-engine configurations:
+//!    the FNV-1a hash of the `Debug` form of
+//!    [`sz_machine::MachineConfig`] (every cache/TLB geometry, cost,
+//!    and clock field) and of [`stabilizer::Config`] with the per-run
+//!    seed zeroed (the real seeds derive from `seed_base`, which is
+//!    already in the key). Both are fixed for the life of the process,
+//!    so the fingerprint is computed once per process;
+//! 6. for `evaluate`: the before/after optimization levels and the
+//!    adaptive parameters (half-width, confidence and band as raw
+//!    bits, batch, min/max runs) or `fixed`.
 //!
 //! Excluded on purpose: `threads` (results are thread-invariant),
 //! `trace` (tracing selects what is *streamed*, not what is
-//! computed), `wait`, and `deadline_ms` (scheduling hints). The full
-//! canonical string is stored alongside each entry and compared on
-//! lookup, so a 128-bit hash collision degrades to a miss, never to a
-//! wrong result.
+//! computed), `wait`, and `deadline_ms` (scheduling hints), and
+//! `sleep_ms` (only `selftest-sleep` reads it, and that is never
+//! cached). [`cache_key`] names every field of the request, so a field
+//! added later does not compile until it is keyed or listed as left
+//! out. The full canonical string is stored alongside each entry and
+//! compared on lookup, so a 128-bit hash collision degrades to a miss,
+//! never to a wrong result.
+//!
+//! ## Stored replies
+//!
+//! Each entry keeps, beside the job's output, the terminal `result`
+//! line a hit sends (`"cached":true`, no `job`), rendered once when
+//! the entry is stored. A hit renders nothing: it sends that line,
+//! after the stored trace when the request asks for one.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sz_harness::Json;
 
 use crate::exec::JobOutput;
-use crate::proto::{scale_wire_name, Experiment, RunRequest};
+use crate::proto::{scale_wire_name, AdaptiveParams, Experiment, RunRequest};
 
 /// A content-address: the hash used for lookup plus the canonical
 /// string it was derived from (kept to rule out collisions).
@@ -68,45 +79,70 @@ pub fn fnv1a_128(bytes: &[u8]) -> u128 {
     h
 }
 
+/// The machine and layout-engine configurations every job runs
+/// under, hashed once per process (rule 5 of the module docs).
+fn config_fingerprint() -> u128 {
+    static FINGERPRINT: OnceLock<u128> = OnceLock::new();
+    *FINGERPRINT.get_or_init(|| {
+        let machine = sz_machine::MachineConfig::core_i3_550();
+        let engine = stabilizer::Config::default().with_seed(0);
+        fnv1a_128(format!("machine={machine:?};engine={engine:?}").as_bytes())
+    })
+}
+
 /// Builds the content-address of a run request (see the module docs
 /// for the canonicalization rules).
 pub fn cache_key(spec: &RunRequest) -> CacheKey {
-    let machine = sz_machine::MachineConfig::core_i3_550();
-    let engine = stabilizer::Config::default().with_seed(0);
-    let interval_bits = sz_machine::SimTime::from_millis(spec.interval_ms)
+    let RunRequest {
+        experiment,
+        benchmarks,
+        scale,
+        runs,
+        seed_base,
+        interval_ms,
+        before_opt,
+        after_opt,
+        adaptive,
+        // Hints: what a job computes does not depend on them.
+        threads: _,
+        trace: _,
+        wait: _,
+        deadline_ms: _,
+        // Read only by selftest-sleep, which is never cached.
+        sleep_ms: _,
+    } = spec;
+    let interval_bits = sz_machine::SimTime::from_millis(*interval_ms)
         .as_nanos()
         .to_bits();
-    let benchmarks = match &spec.benchmarks {
+    let benchmarks = match benchmarks {
         None => "all".to_string(),
         Some(names) => names.join(","),
     };
-    let mode = match (&spec.experiment, &spec.adaptive) {
-        (Experiment::Evaluate, Some(a)) => format!(
-            "{}->{};adaptive{{hw={:016x},conf={:016x},batch={},min={},max={}}}",
-            spec.before_opt,
-            spec.after_opt,
-            a.half_width.to_bits(),
-            a.confidence.to_bits(),
-            a.batch,
-            a.min_runs,
-            a.max_runs,
+    let mode = match (experiment, adaptive) {
+        (
+            Experiment::Evaluate,
+            Some(AdaptiveParams {
+                half_width,
+                confidence,
+                band,
+                batch,
+                min_runs,
+                max_runs,
+            }),
+        ) => format!(
+            "{before_opt}->{after_opt};adaptive{{hw={:016x},conf={:016x},band={:016x},batch={batch},min={min_runs},max={max_runs}}}",
+            half_width.to_bits(),
+            confidence.to_bits(),
+            band.to_bits(),
         ),
-        (Experiment::Evaluate, None) => {
-            format!("{}->{};fixed", spec.before_opt, spec.after_opt)
-        }
+        (Experiment::Evaluate, None) => format!("{before_opt}->{after_opt};fixed"),
         _ => "-".to_string(),
     };
     let canonical = format!(
-        "experiment={};benchmarks={};scale={};runs={};seed_base={:#018x};interval_ns_bits={:016x};machine={:?};engine={:?};mode={}",
-        spec.experiment.name(),
-        benchmarks,
-        scale_wire_name(spec.scale),
-        spec.runs,
-        spec.seed_base,
-        interval_bits,
-        machine,
-        engine,
-        mode,
+        "experiment={};benchmarks={benchmarks};scale={};runs={runs};seed_base={seed_base:#018x};interval_ns_bits={interval_bits:016x};config={:032x};mode={mode}",
+        experiment.name(),
+        scale_wire_name(*scale),
+        config_fingerprint(),
     );
     CacheKey {
         hash: fnv1a_128(canonical.as_bytes()),
@@ -114,9 +150,20 @@ pub fn cache_key(spec: &RunRequest) -> CacheKey {
     }
 }
 
+/// A stored result: the job's output and the terminal line a hit
+/// sends, rendered once when the result was stored.
+#[derive(Debug, PartialEq)]
+pub struct CachedResult {
+    /// The job's output, shared with its `done` job record.
+    pub output: Arc<JobOutput>,
+    /// The `result` line a hit sends, newline included: the miss's
+    /// line without `job` and with `"cached":true`.
+    pub hit_line: Vec<u8>,
+}
+
 struct Entry {
     canonical: String,
-    value: Arc<JobOutput>,
+    value: Arc<CachedResult>,
     bytes: usize,
     last_used: u64,
 }
@@ -173,7 +220,7 @@ impl ResultCache {
 
     /// Looks up a key, bumping its recency on a hit. A hash match
     /// whose canonical string differs (a collision) counts as a miss.
-    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<JobOutput>> {
+    pub fn get(&mut self, key: &CacheKey) -> Option<Arc<CachedResult>> {
         self.clock += 1;
         match self.map.get_mut(&key.hash) {
             Some(entry) if entry.canonical == key.canonical => {
@@ -189,11 +236,12 @@ impl ResultCache {
     }
 
     /// Stores a result, evicting least-recently-used entries until the
-    /// byte budget holds. A result larger than the whole budget is
+    /// byte budget holds. Each entry is charged its trace, its hit line
+    /// and its canonical key. A result larger than the whole budget is
     /// rejected (and counted) rather than flushing the cache for a
     /// value that still cannot fit.
-    pub fn insert(&mut self, key: &CacheKey, value: Arc<JobOutput>) {
-        let bytes = value.byte_size() + key.canonical.len();
+    pub fn insert(&mut self, key: CacheKey, value: Arc<CachedResult>) {
+        let bytes = value.output.trace.len() + value.hit_line.len() + key.canonical.len();
         if bytes > self.budget {
             self.oversize_rejections += 1;
             return;
@@ -218,7 +266,7 @@ impl ResultCache {
         self.map.insert(
             key.hash,
             Entry {
-                canonical: key.canonical.clone(),
+                canonical: key.canonical,
                 value,
                 bytes,
                 last_used: self.clock,
@@ -259,14 +307,16 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::AdaptiveParams;
 
-    fn output(tag: &str, payload: usize) -> Arc<JobOutput> {
-        Arc::new(JobOutput {
-            trace: "x".repeat(payload),
-            summary: Json::obj([("tag", tag.into())]),
-            samples_used: 1,
-            samples_saved: 0,
+    fn stored(tag: &str, payload: usize) -> Arc<CachedResult> {
+        Arc::new(CachedResult {
+            output: Arc::new(JobOutput {
+                trace: "x".repeat(payload),
+                summary: Json::obj([("tag", tag.into())]),
+                samples_used: 1,
+                samples_saved: 0,
+            }),
+            hit_line: format!("{{\"tag\":\"{tag}\"}}\n").into_bytes(),
         })
     }
 
@@ -323,12 +373,15 @@ mod tests {
         adaptive.adaptive = Some(AdaptiveParams::default());
         let mut tighter = adaptive.clone();
         tighter.adaptive.as_mut().unwrap().half_width = 0.01;
+        let mut wider_band = adaptive.clone();
+        wider_band.adaptive.as_mut().unwrap().band = 0.5;
         let mut other_levels = fixed.clone();
         other_levels.after_opt = "O3".to_string();
         let keys = [
             cache_key(&fixed),
             cache_key(&adaptive),
             cache_key(&tighter),
+            cache_key(&wider_band),
             cache_key(&other_levels),
         ];
         for i in 0..keys.len() {
@@ -343,13 +396,18 @@ mod tests {
         let mut cache = ResultCache::new(1 << 20);
         let key = cache_key(&RunRequest::quick(Experiment::Table1));
         assert!(cache.get(&key).is_none());
-        let value = output("a", 100);
-        cache.insert(&key, Arc::clone(&value));
+        let value = stored("a", 100);
+        cache.insert(key.clone(), Arc::clone(&value));
         let hit = cache.get(&key).expect("inserted");
         assert!(Arc::ptr_eq(&hit, &value), "hits share the stored bytes");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.insertions), (1, 1, 1));
         assert_eq!(s.entries, 1);
+        assert_eq!(
+            s.bytes,
+            100 + value.hit_line.len() + key.canonical.len(),
+            "an entry is charged its trace, hit line and key"
+        );
     }
 
     #[test]
@@ -362,10 +420,12 @@ mod tests {
         }
         // Seeds print fixed-width, so every entry costs the same; a
         // budget of 3.5 entries holds three but not four.
-        let entry_cost = output("v", 700).byte_size() + reqs[0].canonical.len();
+        let mut probe = ResultCache::new(usize::MAX);
+        probe.insert(reqs[0].clone(), stored("v", 700));
+        let entry_cost = probe.stats().bytes;
         let mut cache = ResultCache::new(3 * entry_cost + entry_cost / 2);
         for key in &reqs {
-            cache.insert(key, output("v", 700));
+            cache.insert(key.clone(), stored("v", 700));
         }
         assert_eq!(cache.stats().entries, 3);
         // Touch the oldest so the *middle* entry is now least recent.
@@ -373,7 +433,7 @@ mod tests {
         let mut r = RunRequest::quick(Experiment::Table1);
         r.seed_base = 99;
         let newcomer = cache_key(&r);
-        cache.insert(&newcomer, output("v", 700));
+        cache.insert(newcomer.clone(), stored("v", 700));
         assert!(cache.get(&reqs[1]).is_none(), "LRU entry was evicted");
         assert!(cache.get(&reqs[0]).is_some());
         assert!(cache.get(&reqs[2]).is_some());
@@ -387,7 +447,7 @@ mod tests {
     fn oversize_results_are_rejected_not_thrashed() {
         let mut cache = ResultCache::new(500);
         let key = cache_key(&RunRequest::quick(Experiment::Table1));
-        cache.insert(&key, output("big", 10_000));
+        cache.insert(key.clone(), stored("big", 10_000));
         assert!(cache.get(&key).is_none());
         let s = cache.stats();
         assert_eq!(s.oversize_rejections, 1);
@@ -398,12 +458,12 @@ mod tests {
     fn reinsert_replaces_in_place() {
         let mut cache = ResultCache::new(10_000);
         let key = cache_key(&RunRequest::quick(Experiment::Table1));
-        cache.insert(&key, output("one", 1_000));
-        cache.insert(&key, output("two", 2_000));
+        cache.insert(key.clone(), stored("one", 1_000));
+        cache.insert(key.clone(), stored("two", 2_000));
         let s = cache.stats();
         assert_eq!(s.entries, 1);
         assert!(s.bytes < 4_000, "old bytes were released: {}", s.bytes);
         let hit = cache.get(&key).unwrap();
-        assert_eq!(hit.trace.len(), 2_000);
+        assert_eq!(hit.output.trace.len(), 2_000);
     }
 }

@@ -119,7 +119,7 @@ pub struct ConnToken {
 
 /// What the handler wants done with one request line.
 pub enum LineOutcome {
-    /// Append these bytes to the write buffer and keep reading.
+    /// Queue these bytes for writing and keep reading.
     Reply(Vec<u8>),
     /// Reply, then close once the write buffer drains.
     ReplyAndClose(Vec<u8>),
@@ -293,6 +293,17 @@ impl Conn {
 
     fn wants_write(&self) -> bool {
         self.wpos < self.wbuf.len()
+    }
+
+    /// Queues reply bytes behind any still pending. An empty write
+    /// buffer (`wpos` is then 0) takes the reply's own allocation
+    /// instead of a copy.
+    fn queue(&mut self, bytes: Vec<u8>) {
+        if self.wbuf.is_empty() {
+            self.wbuf = bytes;
+        } else {
+            self.wbuf.extend_from_slice(&bytes);
+        }
     }
 }
 
@@ -576,7 +587,7 @@ fn deliver(
         return; // Connection closed while the reply was in flight.
     };
     conn.inflight = false;
-    conn.wbuf.extend_from_slice(&completion.bytes);
+    conn.queue(completion.bytes);
     let token = ConnToken {
         loop_idx,
         conn_id: id,
@@ -677,11 +688,11 @@ fn dispatch_line(
 ) -> Option<Gone> {
     match handler.on_line(token, line) {
         LineOutcome::Reply(bytes) => {
-            conn.wbuf.extend_from_slice(&bytes);
+            conn.queue(bytes);
             None
         }
         LineOutcome::ReplyAndClose(bytes) => {
-            conn.wbuf.extend_from_slice(&bytes);
+            conn.queue(bytes);
             conn.closing = true;
             conn.deferred.clear();
             None
@@ -831,6 +842,46 @@ mod tests {
             got.push(line.trim_end().to_string());
         }
         assert_eq!(got, vec!["deferred", "echo a", "echo b"]);
+        h.stop();
+    }
+
+    /// Replies to pipelined lines queue behind the unsent bytes of
+    /// earlier ones: each arrives whole and in request order, whether
+    /// it found the write buffer empty or still holding a 300 KB echo
+    /// the socket has not taken yet.
+    #[test]
+    fn pipelined_large_and_small_replies_arrive_whole_and_in_order() {
+        let h = Harness::start(1);
+        let stream = TcpStream::connect(h.addr).expect("connect");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("read timeout");
+        let big = |fill: &str| fill.repeat(300 << 10);
+        let lines = [
+            "a".to_string(),
+            big("b"),
+            "c".to_string(),
+            "d".to_string(),
+            big("e"),
+            big("f"),
+            "g".to_string(),
+        ];
+        let mut writer = &stream;
+        for line in &lines {
+            writeln!(writer, "{line}").expect("send");
+        }
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        for (i, line) in lines.iter().enumerate() {
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("recv");
+            assert!(
+                reply == format!("echo {line}\n"),
+                "reply {i}: {} bytes starting {:?}, want the echo of a {}-byte line",
+                reply.len(),
+                &reply[..reply.len().min(12)],
+                line.len()
+            );
+        }
         h.stop();
     }
 

@@ -85,9 +85,23 @@ pub struct JobOutput {
 }
 
 impl JobOutput {
-    /// Approximate resident size, for the cache's byte budget.
-    pub fn byte_size(&self) -> usize {
-        self.trace.len() + self.summary.to_string().len() + 64
+    /// The terminal `result` line of a reply carrying this output,
+    /// newline included. The reply to the job's own request names the
+    /// job (`Some(id)`, `"cached":false`); a cache hit names none
+    /// (`None`, `"cached":true`).
+    pub fn result_line(&self, experiment: &str, job: Option<u64>) -> Vec<u8> {
+        let mut fields = vec![
+            ("type".to_string(), Json::from("result")),
+            ("experiment".to_string(), experiment.into()),
+            ("cached".to_string(), job.is_none().into()),
+            ("samples_used".to_string(), self.samples_used.into()),
+            ("samples_saved".to_string(), self.samples_saved.into()),
+            ("summary".to_string(), self.summary.clone()),
+        ];
+        if let Some(id) = job {
+            fields.insert(1, ("job".to_string(), id.into()));
+        }
+        format!("{}\n", Json::Obj(fields)).into_bytes()
     }
 }
 

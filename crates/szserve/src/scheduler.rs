@@ -4,10 +4,12 @@
 //! The scheduler owns the [`ResultCache`]: `submit` consults it before
 //! queueing (cache hits never occupy a queue slot and are therefore
 //! immune to backpressure), and workers insert successful results
-//! after execution. When the queue is full, submission is rejected
-//! with a `retry_after_ms` hint derived from a moving average of
-//! recent job durations — the caller is told how long the backlog is
-//! actually taking to drain, not a constant.
+//! after execution. Keys and hit lines are built outside the scheduler
+//! lock, which guards only the lookup and the insert. When the queue
+//! is full, submission is rejected with a `retry_after_ms` hint
+//! derived from a moving average of recent job durations — the caller
+//! is told how long the backlog is actually taking to drain, not a
+//! constant.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -17,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use sz_harness::Json;
 
-use crate::cache::{cache_key, ResultCache};
+use crate::cache::{cache_key, CachedResult, ResultCache};
 use crate::exec::{execute, ExecError, JobOutput};
 use crate::proto::RunRequest;
 
@@ -89,7 +91,7 @@ impl JobState {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SubmitOutcome {
     /// Served from the cache without queueing.
-    Cached(Arc<JobOutput>),
+    Cached(Arc<CachedResult>),
     /// Queued; the id can be used with `status` / `cancel` / `wait`.
     Accepted(u64),
     /// Queue full — try again after roughly this many milliseconds.
@@ -196,14 +198,12 @@ impl Scheduler {
 
     /// Submits a request: cache hit, queued job, or rejection.
     pub fn submit(&self, spec: RunRequest) -> SubmitOutcome {
+        let key = spec.experiment.cacheable().then(|| cache_key(&spec));
         let (lock, cvar) = &*self.shared;
         let mut inner = lock.lock().expect("scheduler lock");
         inner.submitted += 1;
-        if spec.experiment.cacheable() {
-            let key = cache_key(&spec);
-            if let Some(hit) = inner.cache.get(&key) {
-                return SubmitOutcome::Cached(hit);
-            }
+        if let Some(hit) = key.as_ref().and_then(|key| inner.cache.get(key)) {
+            return SubmitOutcome::Cached(hit);
         }
         if inner.queue.len() >= self.config.queue_capacity || inner.shutdown {
             inner.rejected += 1;
@@ -389,6 +389,17 @@ fn worker_loop(shared: &Arc<(Mutex<Inner>, Condvar)>, exec_threads: usize) {
             Err(ExecError::Failed(format!("panic: {msg}")))
         });
         let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
+        let result = result.map(Arc::new);
+        let stored = match &result {
+            Ok(output) if spec.experiment.cacheable() => Some((
+                cache_key(&spec),
+                Arc::new(CachedResult {
+                    output: Arc::clone(output),
+                    hit_line: output.result_line(spec.experiment.name(), None),
+                }),
+            )),
+            _ => None,
+        };
 
         let notifier = {
             let mut inner = lock.lock().expect("scheduler lock");
@@ -400,9 +411,8 @@ fn worker_loop(shared: &Arc<(Mutex<Inner>, Condvar)>, exec_threads: usize) {
             };
             match result {
                 Ok(output) => {
-                    let output = Arc::new(output);
-                    if spec.experiment.cacheable() {
-                        inner.cache.insert(&cache_key(&spec), Arc::clone(&output));
+                    if let Some((key, value)) = stored {
+                        inner.cache.insert(key, value);
                     }
                     inner.completed += 1;
                     inner.settle(id, JobState::Done(output));
@@ -466,8 +476,11 @@ mod tests {
         let SubmitOutcome::Cached(hit) = s.submit(spec) else {
             panic!("second submission should hit the cache");
         };
-        assert!(Arc::ptr_eq(&first, &hit), "hit returns the stored arc");
-        assert_eq!(first.trace, hit.trace);
+        assert!(
+            Arc::ptr_eq(&first, &hit.output),
+            "hit returns the stored arc"
+        );
+        assert_eq!(hit.hit_line, first.result_line("table1", None));
     }
 
     #[test]

@@ -190,8 +190,8 @@ impl ServeHandler {
         let wait = spec.wait;
         let experiment = spec.experiment.name();
         match self.scheduler.submit(spec) {
-            SubmitOutcome::Cached(output) => {
-                LineOutcome::Reply(render_output(experiment, &output, true, None, wants_trace))
+            SubmitOutcome::Cached(hit) => {
+                LineOutcome::Reply(run_reply(&hit.output, wants_trace, &hit.hit_line))
             }
             SubmitOutcome::Rejected { retry_after_ms } => {
                 LineOutcome::Reply(render_rejected(retry_after_ms))
@@ -241,12 +241,10 @@ impl ServeHandler {
             }
         };
         let bytes = match state {
-            JobState::Done(output) => render_output(
-                waiter.experiment,
+            JobState::Done(output) => run_reply(
                 &output,
-                false,
-                Some(id),
                 waiter.wants_trace,
+                &output.result_line(waiter.experiment, Some(id)),
             ),
             JobState::Failed(err) => render_error(Some(id), &err.reason()),
             _ => unreachable!("settled above"),
@@ -451,30 +449,12 @@ fn render_error(job: Option<u64>, message: &str) -> Vec<u8> {
 /// The bytes of a completed `run` reply: optional trace records (the
 /// captured JSONL is relayed byte-for-byte, so cached and fresh
 /// responses are identical) followed by the terminal `result` line.
-fn render_output(
-    experiment: &str,
-    output: &JobOutput,
-    cached: bool,
-    job: Option<u64>,
-    wants_trace: bool,
-) -> Vec<u8> {
-    let mut bytes = Vec::new();
+fn run_reply(output: &JobOutput, wants_trace: bool, result_line: &[u8]) -> Vec<u8> {
     if wants_trace {
-        bytes.extend_from_slice(output.trace.as_bytes());
+        [output.trace.as_bytes(), result_line].concat()
+    } else {
+        result_line.to_vec()
     }
-    let mut fields = vec![
-        ("type".to_string(), Json::from("result")),
-        ("experiment".to_string(), experiment.into()),
-        ("cached".to_string(), cached.into()),
-        ("samples_used".to_string(), output.samples_used.into()),
-        ("samples_saved".to_string(), output.samples_saved.into()),
-        ("summary".to_string(), output.summary.clone()),
-    ];
-    if let Some(id) = job {
-        fields.insert(1, ("job".to_string(), id.into()));
-    }
-    bytes.extend_from_slice(&render_line(&Json::Obj(fields)));
-    bytes
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! End-to-end tests against a live `sz-serve` instance on an
-//! ephemeral port: cache-hit bit-identity, backpressure, cancellation,
-//! the adaptive-stopping golden run, and a 64-client burst.
+//! ephemeral port: cache-hit bit-identity, cache keys, backpressure,
+//! cancellation, the adaptive-stopping golden run, and a 64-client
+//! burst.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -65,47 +66,94 @@ fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<()>) {
     handle.join().expect("server exits cleanly");
 }
 
+/// A hit replays its miss byte for byte: the same trace lines, then
+/// the miss's terminal line without its `"job":N,` and with `"cached"`
+/// flipped to true. Covers table1, a fixed and an adaptive evaluate,
+/// each asked for plain and traced.
 #[test]
-fn second_identical_run_is_a_bit_identical_cache_hit() {
+fn cache_hits_replay_the_miss_byte_for_byte() {
     let (addr, handle) = start(2, 8);
-    let run =
-        r#"{"type":"run","experiment":"table1","benchmarks":["bzip2"],"runs":4,"trace":true}"#;
-
-    let first = request(addr, run);
-    let first_terminal = terminal(&first);
-    assert_eq!(
-        first_terminal.get("cached").unwrap().as_bool(),
-        Some(false),
-        "cold run must miss"
-    );
-    assert!(
-        first.len() > 1,
-        "traced responses stream run records before the result"
-    );
-
-    let second = request(addr, run);
-    let second_terminal = terminal(&second);
-    assert_eq!(
-        second_terminal.get("cached").unwrap().as_bool(),
-        Some(true),
-        "identical request must hit"
-    );
-    // Bit-identity: every streamed trace line — full sample vectors
-    // and per-period counter snapshots — matches the cold run's bytes.
-    assert_eq!(
-        &first[..first.len() - 1],
-        &second[..second.len() - 1],
-        "cached trace must be byte-identical to the cold run"
-    );
-    assert_eq!(
-        first_terminal.get("summary").unwrap(),
-        second_terminal.get("summary").unwrap()
-    );
+    let bodies = [
+        r#""experiment":"table1","benchmarks":["bzip2"],"runs":4"#,
+        r#""experiment":"evaluate","benchmarks":["hmmer"],"runs":4"#,
+        r#""experiment":"evaluate","benchmarks":["hmmer"],"runs":8,"adaptive":{"max_runs":8}"#,
+    ];
+    let cases: Vec<(&str, bool)> = bodies
+        .iter()
+        .flat_map(|&body| [(body, false), (body, true)])
+        .collect();
+    for (seed, &(body, trace)) in cases.iter().enumerate() {
+        // A seed of its own, so each case's first request misses.
+        let run = format!(r#"{{"type":"run",{body},"seed_base":{seed},"trace":{trace}}}"#);
+        let miss = request(addr, &run);
+        let hit = request(addr, &run);
+        let (miss_line, hit_line) = (miss.last().unwrap(), hit.last().unwrap());
+        assert!(miss_line.contains(r#""cached":false"#), "{run} must miss");
+        assert_eq!(
+            miss.len() > 1,
+            trace,
+            "{run}: only traced replies stream run records before the result"
+        );
+        // Bit-identity: every streamed trace line — full sample vectors
+        // and per-period counter snapshots — matches the cold run's
+        // bytes.
+        assert_eq!(
+            &miss[..miss.len() - 1],
+            &hit[..hit.len() - 1],
+            "{run}: the hit must replay the miss's trace byte for byte"
+        );
+        let job = terminal(&miss).get("job").unwrap().as_u64().unwrap();
+        let job_field = format!(r#""job":{job},"#);
+        assert_eq!(miss_line.matches(&job_field).count(), 1, "{miss_line}");
+        let expected = miss_line.replacen(&job_field, "", 1).replacen(
+            r#""cached":false"#,
+            r#""cached":true"#,
+            1,
+        );
+        assert_eq!(hit_line, &expected, "{run}");
+    }
 
     let stats = terminal(&request(addr, r#"{"type":"stats"}"#));
     let cache = stats.get("cache").expect("stats carry cache counters");
-    assert_eq!(cache.get("hits").unwrap().as_u64(), Some(1));
-    assert_eq!(cache.get("insertions").unwrap().as_u64(), Some(1));
+    let cases = cases.len() as u64;
+    assert_eq!(cache.get("hits").unwrap().as_u64(), Some(cases));
+    assert_eq!(cache.get("insertions").unwrap().as_u64(), Some(cases));
+    shutdown(addr, handle);
+}
+
+/// `band` decides the adaptive verdict and when sampling stops, so two
+/// requests that differ only in `band` are two keys: both miss, and
+/// each reports its own band.
+#[test]
+fn adaptive_requests_differing_only_in_band_both_miss() {
+    let (addr, handle) = start(1, 4);
+    let mut verdicts = Vec::new();
+    for band in [0.05, 0.5] {
+        let reply = terminal(&request(
+            addr,
+            &format!(
+                r#"{{"type":"run","experiment":"evaluate","benchmarks":["hmmer"],"runs":8,"adaptive":{{"band":{band},"max_runs":8}}}}"#
+            ),
+        ));
+        assert_eq!(
+            reply.get("cached").unwrap().as_bool(),
+            Some(false),
+            "band {band} must miss"
+        );
+        let practical = reply.get("summary").unwrap().get("practical").unwrap();
+        assert_eq!(practical.get("band").unwrap().as_f64(), Some(band));
+        verdicts.push(
+            practical
+                .get("verdict")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .to_string(),
+        );
+    }
+    // A hit keyed without the band would have answered the second
+    // request with the first one's verdict.
+    assert_eq!(verdicts, ["robustly-faster", "equivalent"]);
     shutdown(addr, handle);
 }
 

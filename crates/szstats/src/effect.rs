@@ -9,6 +9,7 @@
 use crate::desc::{mean, sample_variance};
 use crate::dist::{Normal, StudentT};
 use crate::error::check_finite;
+use crate::ttest::welch_df;
 use crate::StatError;
 
 /// A two-sided confidence interval.
@@ -169,19 +170,7 @@ pub fn diff_ci(a: &[f64], b: &[f64], confidence: f64) -> Result<ConfidenceInterv
     if se2 <= 0.0 {
         return Err(StatError::ZeroVariance);
     }
-    let (square, terms) = (se2 * se2, pa * pa / (na - 1.0) + pb * pb / (nb - 1.0));
-    let df = if square.is_normal() && terms.is_normal() {
-        square / terms
-    } else {
-        // `se2²` or the squares under it overflowed, or fell below the
-        // normal range and kept only a few bits, as they do when `se2`
-        // is above about 1e154 or below about 1e-154. Each arm's share
-        // of `se2` is in [0, 1], so the same ratio taken over the
-        // shares keeps full precision. Only those arms take this form;
-        // every other df keeps its bits.
-        let (fa, fb) = (pa / se2, pb / se2);
-        1.0 / (fa * fa / (na - 1.0) + fb * fb / (nb - 1.0))
-    };
+    let df = welch_df(pa, pb, na, nb);
     if !se2.is_finite() || !df.is_finite() {
         return Err(StatError::NonFinite);
     }

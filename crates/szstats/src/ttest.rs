@@ -31,6 +31,28 @@ fn validate_pair(a: &[f64], b: &[f64]) -> Result<(), StatError> {
     Ok(())
 }
 
+/// Welch–Satterthwaite degrees of freedom of two arms of sizes `na`
+/// and `nb`, whose squared standard errors are `pa = va/na` and
+/// `pb = vb/nb`.
+///
+/// The direct form is `se2²/(pa²/(na−1) + pb²/(nb−1))` with
+/// `se2 = pa + pb`. Where `se2²` or the sum under it is not a normal
+/// f64 (it overflowed, or fell below the normal range and kept only a
+/// few bits, as when `se2` is above about 1e154 or below about
+/// 1e-154), the same ratio is taken over each arm's share of `se2`,
+/// which lies in [0, 1] and keeps full precision. Only those arms take
+/// the share form; every other df keeps its bits.
+pub(crate) fn welch_df(pa: f64, pb: f64, na: f64, nb: f64) -> f64 {
+    let se2 = pa + pb;
+    let (square, terms) = (se2 * se2, pa * pa / (na - 1.0) + pb * pb / (nb - 1.0));
+    if square.is_normal() && terms.is_normal() {
+        square / terms
+    } else {
+        let (fa, fb) = (pa / se2, pb / se2);
+        1.0 / (fa * fa / (na - 1.0) + fb * fb / (nb - 1.0))
+    }
+}
+
 /// Welch's two-sample t-test (unequal variances).
 ///
 /// This is the robust default for comparing two sets of execution
@@ -38,7 +60,9 @@ fn validate_pair(a: &[f64], b: &[f64]) -> Result<(), StatError> {
 ///
 /// # Errors
 ///
-/// Returns [`StatError::TooFewSamples`], [`StatError::NonFinite`], or
+/// Returns [`StatError::TooFewSamples`], [`StatError::NonFinite`] (also
+/// when the variances or the degrees of freedom overflow, as for
+/// finite arms spread wider than about 1e154), or
 /// [`StatError::ZeroVariance`] if both samples are constant.
 ///
 /// # Examples
@@ -57,14 +81,16 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<TTest, StatError> {
     validate_pair(a, b)?;
     let (na, nb) = (a.len() as f64, b.len() as f64);
     let (ma, mb) = (mean(a), mean(b));
-    let (va, vb) = (sample_variance(a), sample_variance(b));
-    let se2 = va / na + vb / nb;
+    let (pa, pb) = (sample_variance(a) / na, sample_variance(b) / nb);
+    let se2 = pa + pb;
     if se2 <= 0.0 {
         return Err(StatError::ZeroVariance);
     }
+    let df = welch_df(pa, pb, na, nb);
+    if !se2.is_finite() || !df.is_finite() {
+        return Err(StatError::NonFinite);
+    }
     let t = (ma - mb) / se2.sqrt();
-    // Welch–Satterthwaite degrees of freedom.
-    let df = se2 * se2 / ((va / na) * (va / na) / (na - 1.0) + (vb / nb) * (vb / nb) / (nb - 1.0));
     let p_value = StudentT::new(df).two_sided_p(t);
     Ok(TTest {
         t,
@@ -203,6 +229,44 @@ mod tests {
         let yx = welch_t_test(&y, &x).unwrap();
         assert!((xy.t + yx.t).abs() < 1e-12);
         assert!((xy.p_value - yx.p_value).abs() < 1e-12);
+    }
+
+    /// Arms near 1e-100, whose `se2²` underflows to 0, give the t, df
+    /// and p of their unit-scale copies.
+    #[test]
+    fn welch_survives_underflowing_squares() {
+        let (a, b) = ([1.0, 1.01, 1.02], [1.03, 1.05, 1.02]);
+        let unit = welch_t_test(&a, &b).unwrap();
+        let scaled = |arm: &[f64]| arm.iter().map(|v| v * 1e-100).collect::<Vec<_>>();
+        let tiny = welch_t_test(&scaled(&a), &scaled(&b)).unwrap();
+        for (got, want) in [(tiny.t, unit.t), (tiny.df, unit.df)] {
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "{tiny:?} vs {unit:?}"
+            );
+        }
+        assert!(
+            (tiny.p_value - unit.p_value).abs() <= 1e-12,
+            "{tiny:?} vs {unit:?}"
+        );
+    }
+
+    /// Finite arms spread near 1e160 overflow the variance: an error,
+    /// not a panic inside `StudentT::new`.
+    #[test]
+    fn welch_overflow_is_non_finite() {
+        assert_eq!(
+            welch_t_test(&[1e160, 2e160, 3e160], &[1.5e160, 2.5e160, 3.5e160]),
+            Err(StatError::NonFinite)
+        );
+    }
+
+    /// `se2²` rounds to 3 subnormal ulps here; the df taken from it was
+    /// 1.5 instead of 2.
+    #[test]
+    fn welch_df_of_partly_underflowing_squares() {
+        let tiny = [0.0, 2.68e-81];
+        assert_eq!(welch_t_test(&tiny, &tiny).unwrap().df, 2.0);
     }
 
     #[test]
