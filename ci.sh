@@ -102,15 +102,20 @@ SZ_COVERAGE_TRIALS=300 cargo test -q --release --offline \
     --test statistics_validation effect_ci_coverage_matches_nominal
 
 echo "==> sz-serve smoke: daemon round-trip with cache hits"
-# Start the daemon on an ephemeral port, make the same quick request
-# twice (the second must be a cache hit), replay a traced request from
-# the cache byte for byte, check that the adaptive band enters the
-# cache key, and shut down cleanly — all within a bounded timeout.
+# Start the daemon on an ephemeral port with a watcher subscribed to
+# its alert stream, make the same quick request twice (the second must
+# be a cache hit), replay a traced request from the cache byte for
+# byte, check that the adaptive band enters the cache key, send a run
+# count past the protocol's bound (an error that names "runs"; the
+# daemon keeps serving), and shut down cleanly: the daemon and the
+# watcher both exit, all within a bounded timeout.
 SERVE_LOG="target/sz-serve-smoke.log"
+WATCH_LOG="target/sz-serve-watch.log"
 cargo run -q --release --offline -p sz-serve --bin sz-serve -- \
     --addr 127.0.0.1:0 --workers 1 --queue 4 >"$SERVE_LOG" 2>&1 &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true' EXIT
+WATCH_PID=""
+trap 'kill "$SERVE_PID" $WATCH_PID 2>/dev/null || true' EXIT
 SERVE_ADDR=""
 for _ in $(seq 1 100); do
     SERVE_ADDR="$(sed -n 's/^sz-serve listening on //p' "$SERVE_LOG")"
@@ -119,6 +124,14 @@ for _ in $(seq 1 100); do
 done
 [ -n "$SERVE_ADDR" ] || { echo "sz-serve did not start"; cat "$SERVE_LOG"; exit 1; }
 SZCTL="target/release/szctl"
+"$SZCTL" --addr "$SERVE_ADDR" watch >"$WATCH_LOG" 2>&1 &
+WATCH_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$WATCH_LOG" ] && break
+    sleep 0.1
+done
+head -n 1 "$WATCH_LOG" | grep -q '"type":"watch_ack"' \
+    || { echo "the watcher's first line is not a watch_ack"; cat "$WATCH_LOG"; exit 1; }
 "$SZCTL" --addr "$SERVE_ADDR" --json run table1 --bench bzip2 --runs 3 \
     | grep -q '"cached":false' || { echo "first request should miss"; exit 1; }
 "$SZCTL" --addr "$SERVE_ADDR" --json run table1 --bench bzip2 --runs 3 \
@@ -151,18 +164,34 @@ echo "$OUT" | grep -q '"cached":false' \
     || { echo "a request with another band was served from the cache"; exit 1; }
 echo "$OUT" | grep -q '"band":0.5' \
     || { echo "the band 0.5 request does not report its band"; exit 1; }
+# A run count past the protocol's bound is an error naming the field,
+# not a job: on one pool thread, 1e12 runs used to abort the daemon on
+# a failed allocation (on more, they held a worker for good).
+STATUS=0
+OUT="$("$SZCTL" --addr "$SERVE_ADDR" --json run table1 --bench bzip2 \
+    --runs 1000000000000 --threads 1)" || STATUS=$?
+[ "$STATUS" -eq 1 ] || { echo "--runs 1e12 must exit 1, exited $STATUS"; exit 1; }
+echo "$OUT" | grep '"type":"error"' | grep -q 'runs' \
+    || { echo "--runs 1e12 did not get an error naming runs: $OUT"; exit 1; }
+"$SZCTL" --addr "$SERVE_ADDR" --json stats | grep -q '"type":"stats"' \
+    || { echo "stats failed after the oversized request"; exit 1; }
 "$SZCTL" --addr "$SERVE_ADDR" shutdown >/dev/null
 for _ in $(seq 1 100); do
-    kill -0 "$SERVE_PID" 2>/dev/null || break
+    kill -0 "$SERVE_PID" 2>/dev/null || kill -0 "$WATCH_PID" 2>/dev/null || break
     sleep 0.1
 done
-if kill -0 "$SERVE_PID" 2>/dev/null; then
-    echo "sz-serve did not shut down within 10s"
-    kill "$SERVE_PID"
-    exit 1
-fi
+for PID in "$SERVE_PID" "$WATCH_PID"; do
+    if kill -0 "$PID" 2>/dev/null; then
+        echo "sz-serve or its watcher did not exit within 10s of shutdown"
+        kill "$SERVE_PID" "$WATCH_PID" 2>/dev/null || true
+        exit 1
+    fi
+done
+STATUS=0
+wait "$WATCH_PID" || STATUS=$?
+[ "$STATUS" -eq 0 ] || { echo "szctl watch exited $STATUS at shutdown"; exit 1; }
 trap - EXIT
-echo "sz-serve smoke: miss, hit, stats, byte-identical traced hit, band keyed, clean shutdown"
+echo "sz-serve smoke: watch ack, miss, hit, stats, byte-identical traced hit, band keyed, runs bounded, clean shutdown of daemon and watcher"
 
 echo "==> sentinel smoke: clean trace silent, injected regression caught"
 # Offline scan of the trace recorded above: a clean stream must exit 0
@@ -203,11 +232,11 @@ echo "$OUT" | grep -q '^usage: sz-sentinel' \
 echo "sentinel smoke: clean stream silent, injected step alerted with windows, bad option rejected, hostile magnitudes scanned"
 
 echo "==> loadgen smoke: 512 concurrent clients against a spawned server"
-# The event-loop front-end under real concurrency: 512 clients issuing
-# cache-hit run + stats requests. Exit is nonzero if any connection
-# dies; the statistical p99 regression gate ran above (the `loadgen`
-# section of BENCH_sim.json, judged by bench_gate alongside the
-# interpreter metrics).
+# The front end under real concurrency: 512 clients, each served on a
+# server thread of its own, issuing cache-hit run + stats requests.
+# Exit is nonzero if any connection dies; the statistical p99
+# regression gate ran above (the `loadgen` section of BENCH_sim.json,
+# judged by bench_gate alongside the interpreter metrics).
 target/release/sz-loadgen --spawn --clients 512 --requests 4 --waves 3
 
 echo "ci.sh: all checks passed"

@@ -238,7 +238,8 @@ fn main() {
 
     // Serving-path latency under concurrency: an in-process sz-serve
     // on an ephemeral port, hammered with cache-hit run + stats
-    // requests by the event-loop load generator. Each wave contributes
+    // requests by the poll-driven load generator; the server runs one
+    // thread per client connection. Each wave contributes
     // one p99 sample, so the regression gate bootstraps over waves the
     // same way it bootstraps over interpreter timing runs. The client
     // count is reduced for CI (override with SZ_LOADGEN_CLIENTS).
@@ -307,7 +308,7 @@ fn run_loadgen_bench() -> LoadgenReport {
     assert_eq!(report.errors, 0, "loadgen connections survived");
 
     stop.store(true, std::sync::atomic::Ordering::SeqCst);
-    // A final connection wakes the event loop so it notices the flag.
+    // A final connection wakes the accept loop so it notices the flag.
     drop(std::net::TcpStream::connect(&addr));
     handle.join().expect("loadgen server exits cleanly");
     report
@@ -479,7 +480,7 @@ fn write_bench_sim(
             ]),
         ),
         // Serving-path p99 latency under concurrent cache-hit load:
-        // the event-loop front-end's regression gate (`samples_p99_us`
+        // the serving front end's regression gate (`samples_p99_us`
         // carries one p99 per wave).
         ("loadgen", loadgen.to_json()),
     ]);

@@ -2,12 +2,13 @@
 //!
 //! ```text
 //! sz-serve [--addr HOST:PORT] [--workers N] [--queue N]
-//!          [--threads N] [--cache-mb N] [--loops N]
+//!          [--threads N] [--cache-mb N]
 //! ```
 //!
 //! Binds, prints `sz-serve listening on <addr>` (with the resolved
 //! port, so `--addr 127.0.0.1:0` is scriptable), then serves until a
-//! `shutdown` request arrives.
+//! `shutdown` request arrives. Each connection is served on a thread
+//! of its own.
 
 use std::process::ExitCode;
 
@@ -16,7 +17,7 @@ use sz_serve::{Server, ServerConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sz-serve [--addr HOST:PORT] [--workers N] [--queue N] \
-         [--threads N] [--cache-mb N] [--loops N]"
+         [--threads N] [--cache-mb N]"
     );
     ExitCode::from(2)
 }
@@ -45,10 +46,6 @@ fn main() -> ExitCode {
             "--cache-mb" => match value.parse::<usize>() {
                 Ok(n) => config.scheduler.cache_budget = n << 20,
                 Err(_) => return usage(),
-            },
-            "--loops" => match value.parse() {
-                Ok(n) if n > 0 => config.loops = n,
-                _ => return usage(),
             },
             _ => return usage(),
         }

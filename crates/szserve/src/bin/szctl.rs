@@ -7,7 +7,6 @@
 //! szctl [--addr HOST:PORT] stats
 //! szctl [--addr HOST:PORT] watch
 //! szctl [--addr HOST:PORT] shutdown
-//! szctl [--addr HOST:PORT] loadgen [--clients N] [--requests N] [--waves N]
 //! ```
 //!
 //! `run` options: `--bench a,b`, `--scale tiny|small|full`,
@@ -19,9 +18,8 @@
 //!
 //! The address defaults to `$SZ_SERVE_ADDR`, then `127.0.0.1:7457`.
 //! `watch` subscribes to the server's sentinel alert stream and relays
-//! alert lines as JSONL until the server goes away. `loadgen` drives
-//! concurrent cache-hit load against the server and reports latency
-//! quantiles.
+//! alert lines as JSONL until the server goes away. Load generation
+//! is the `sz-loadgen` binary's.
 //!
 //! Streamed trace records are always relayed raw; the terminal line is
 //! pretty-printed unless `--json` is set. Exit code 0 for `result` /
@@ -33,26 +31,23 @@ use std::process::ExitCode;
 
 use sz_harness::report::render_table;
 use sz_harness::Json;
-use sz_serve::loadgen::{run_loadgen, LoadgenConfig};
 use sz_serve::{AdaptiveParams, Experiment, Request, RunRequest, DEFAULT_ADDR};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: szctl [--addr HOST:PORT] \
-         <run|status|cancel|stats|watch|shutdown|loadgen> ...\n\
+         <run|status|cancel|stats|watch|shutdown> ...\n\
          run <experiment> [--bench a,b] [--scale tiny|small|full] [--runs N]\n\
          \x20   [--seed N] [--interval MS] [--threads N] [--trace] [--no-wait]\n\
          \x20   [--deadline MS] [--before Ox] [--after Ox] [--adaptive]\n\
          \x20   [--half-width X] [--confidence X] [--band X] [--batch N]\n\
-         \x20   [--min-runs N] [--max-runs N] [--sleep-ms N] [--json]\n\
-         loadgen [--clients N] [--requests N] [--waves N] [--json]"
+         \x20   [--min-runs N] [--max-runs N] [--sleep-ms N] [--json]"
     );
     ExitCode::from(2)
 }
 
 enum Command {
     Request(Request),
-    Loadgen(LoadgenConfig),
     Watch,
 }
 
@@ -105,31 +100,6 @@ fn parse_cli() -> Option<Cli> {
         "cancel" => Command::Request(Request::Cancel {
             job: parse_u64(&args.next()?)?,
         }),
-        "loadgen" => {
-            let mut config = LoadgenConfig {
-                addr: addr.clone(),
-                ..LoadgenConfig::default()
-            };
-            while let Some(flag) = args.next() {
-                match flag.as_str() {
-                    "--json" => json = true,
-                    "--clients" => match args.next()?.parse() {
-                        Ok(n) if n > 0 => config.clients = n,
-                        _ => return None,
-                    },
-                    "--requests" => match args.next()?.parse() {
-                        Ok(n) if n > 0 => config.requests_per_client = n,
-                        _ => return None,
-                    },
-                    "--waves" => match args.next()?.parse() {
-                        Ok(n) if n > 0 => config.waves = n,
-                        _ => return None,
-                    },
-                    _ => return None,
-                }
-            }
-            Command::Loadgen(config)
-        }
         "run" => {
             let experiment = Experiment::from_name(&args.next()?)?;
             let mut run = RunRequest::quick(experiment);
@@ -291,33 +261,6 @@ fn main() -> ExitCode {
         return usage();
     };
     let request = match cli.command {
-        Command::Loadgen(config) => {
-            let report = match run_loadgen(&config) {
-                Ok(report) => report,
-                Err(e) => {
-                    eprintln!("szctl: loadgen: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if cli.json {
-                println!("{}", report.to_json());
-            } else {
-                pretty_print(&Json::obj([
-                    ("type", "loadgen".into()),
-                    ("clients", report.clients.into()),
-                    ("requests", report.requests.into()),
-                    ("errors", report.errors.into()),
-                    ("p50_us", report.p50_us.into()),
-                    ("p99_us", report.p99_us.into()),
-                    ("throughput_rps", report.throughput_rps.into()),
-                ]));
-            }
-            return if report.errors == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
         Command::Watch => return watch(&cli.addr),
         Command::Request(request) => request,
     };

@@ -19,17 +19,16 @@
 //!   on the effect size is narrower than a requested half-width
 //!   (Kalibera & Jones' protocol), reporting samples saved vs the
 //!   fixed 30-run paper methodology;
-//! - [`event_loop`] — a hand-rolled readiness event loop over
-//!   `poll(2)` (local `extern "C"`, still no new dependencies): a few
-//!   threads multiplex tens of thousands of mostly-idle connections
-//!   as nonblocking per-connection state machines, with a self-pipe
-//!   for cross-thread wakeups instead of sleep-polling;
+//! - [`event_loop`] — only `poll(2)`, declared locally (no new
+//!   dependencies), for the accept loop, the load generator and
+//!   sz-benchmark's client;
 //! - [`loadgen`] — a poll-driven open-loop load generator (the
-//!   `loadgen` binary) that drives N concurrent clients and reports
+//!   `sz-loadgen` binary) that drives N concurrent clients and reports
 //!   an HDR-style latency histogram;
 //! - [`server`] — the single-node TCP daemon tying it together: one
-//!   process serves every client and pushes the sentinel's alerts to
-//!   `watch` subscribers; the `sz-serve` and `szctl` binaries wrap it.
+//!   thread per connection answers each request before reading the
+//!   next, and the sentinel's alerts are pushed to `watch`
+//!   subscribers; the `sz-serve` and `szctl` binaries wrap it.
 //!
 //! # Example
 //!

@@ -1,8 +1,7 @@
-//! An open-loop load generator for the event-loop front end.
+//! An open-loop load generator for sz-serve.
 //!
-//! One thread drives N concurrent clients through the same `poll(2)`
-//! readiness machinery the server uses ([`crate::event_loop::ffi`]).
-//! Each client alternates a cache-hit `run` request with a `stats`
+//! One thread drives N concurrent clients through `poll(2)`
+//! ([`crate::event_loop::ffi`]). Each client alternates a cache-hit `run` request with a `stats`
 //! request, measuring the wall time from enqueueing the request to
 //! receiving its terminal reply line. Latencies land in an HDR-style
 //! log-linear histogram: exact microsecond buckets below 64 µs, then
@@ -17,8 +16,9 @@
 //!
 //! The cache-hit run is primed once before the waves begin, so the
 //! steady state exercises the front end and the cache path — not the
-//! simulator. This is deliberately a front-end scalability gate: tens
-//! of thousands of mostly-idle connections, bounded tail latency.
+//! simulator. The server gives each connection a thread of its own, so
+//! N clients are N server threads, and the first wave also pays for
+//! starting them.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

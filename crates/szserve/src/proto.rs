@@ -17,7 +17,8 @@
 //! | `shutdown` | — |
 //!
 //! `run` options (all optional unless noted): `benchmarks` (array of
-//! names; default all), `scale` (`tiny`/`small`/`full`), `runs`,
+//! names; default all), `scale` (`tiny`/`small`/`full`), `runs` (at
+//! most [`MAX_RUNS`], as is an adaptive `max_runs`),
 //! `seed_base`, `interval_ms`, `trace` (stream per-run records),
 //! `wait` (default `true`; `false` returns an `accepted` line with a
 //! job id to poll), `deadline_ms`, `before`/`after` (opt levels for
@@ -38,6 +39,12 @@ use sz_workloads::Scale;
 
 /// Default listen / connect address.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7457";
+
+/// The most runs per configuration a request may ask for, as `runs` or
+/// as an adaptive `max_runs`. The paper uses 30; an unbounded count
+/// let one request line make a job reserve its result vector up front
+/// and abort the daemon on a failed allocation.
+pub const MAX_RUNS: u64 = 10_000;
 
 /// The experiments the service can run: the seven paper artifacts,
 /// the §2.4 change evaluation (fixed or adaptive), and a sleep used
@@ -297,6 +304,18 @@ impl Request {
     }
 }
 
+/// Reads a run count, which must be an integer no greater than
+/// [`MAX_RUNS`].
+fn at_most_max_runs(field: &str, value: &Json) -> Result<usize, String> {
+    let n = value
+        .as_u64()
+        .ok_or_else(|| format!("{field:?} must be an integer"))?;
+    if n > MAX_RUNS {
+        return Err(format!("{field:?} must be at most {MAX_RUNS}"));
+    }
+    Ok(n as usize)
+}
+
 fn job_id(v: &Json) -> Result<u64, String> {
     v.get("job")
         .and_then(Json::as_u64)
@@ -330,7 +349,7 @@ fn parse_run(v: &Json) -> Result<RunRequest, String> {
         req.interval_ms = default_interval_ms(req.scale);
     }
     if let Some(r) = v.get("runs") {
-        req.runs = r.as_u64().ok_or("\"runs\" must be an integer")? as usize;
+        req.runs = at_most_max_runs("runs", r)?;
     }
     if req.runs == 0 {
         return Err("\"runs\" must be at least 1".to_string());
@@ -399,7 +418,7 @@ fn parse_run(v: &Json) -> Result<RunRequest, String> {
             params.min_runs = m.as_u64().ok_or("\"min_runs\" must be an integer")?.max(2) as usize;
         }
         if let Some(m) = a.get("max_runs") {
-            params.max_runs = m.as_u64().ok_or("\"max_runs\" must be an integer")? as usize;
+            params.max_runs = at_most_max_runs("max_runs", m)?;
         }
         if params.max_runs < params.min_runs {
             return Err("\"max_runs\" must be >= \"min_runs\"".to_string());
@@ -651,6 +670,38 @@ mod tests {
             r#"{"type":"run","experiment":"evaluate","adaptive":{"min_runs":20,"max_runs":10}}"#,
             "\"max_runs\" must be >= \"min_runs\"",
         );
+    }
+
+    /// A run count past [`MAX_RUNS`] used to reach the job, whose pool
+    /// reserved a result slot per run up front: 1e12 runs aborted the
+    /// daemon on a 168 TB allocation.
+    #[test]
+    fn run_counts_above_the_bound_are_rejected() {
+        for n in ["10001", "1000000000000"] {
+            expect_error(
+                &format!(r#"{{"type":"run","experiment":"table1","runs":{n}}}"#),
+                "\"runs\" must be at most 10000",
+            );
+            expect_error(
+                &format!(
+                    r#"{{"type":"run","experiment":"evaluate","adaptive":{{"batch":{n},"max_runs":{n}}}}}"#
+                ),
+                "\"max_runs\" must be at most 10000",
+            );
+        }
+        let Request::Run(run) =
+            Request::parse(r#"{"type":"run","experiment":"table1","runs":10000}"#).unwrap()
+        else {
+            panic!("expected run")
+        };
+        assert_eq!(run.runs, 10_000);
+        let Request::Run(run) = Request::parse(
+            r#"{"type":"run","experiment":"evaluate","adaptive":{"max_runs":10000}}"#,
+        )
+        .unwrap() else {
+            panic!("expected run")
+        };
+        assert_eq!(run.adaptive.unwrap().max_runs, 10_000);
     }
 
     #[test]

@@ -24,9 +24,9 @@ use crate::exec::{execute, ExecError, JobOutput};
 use crate::proto::RunRequest;
 
 /// Called with a job id whenever that job settles (done, failed, or
-/// cancelled), strictly outside the scheduler lock. The event-loop
-/// front end registers one to wake pollers instead of blocking a
-/// thread per waiter.
+/// cancelled), strictly outside the scheduler lock, on the thread that
+/// settled it. The server registers one to feed the sentinel and push
+/// its alerts to watchers; replies wait in [`Scheduler::wait`].
 pub type SettleNotifier = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// How many finished job records `status` can still see.
@@ -145,9 +145,21 @@ impl Inner {
     }
 }
 
+/// The scheduler state and its two wake-up channels. Workers wait on
+/// `work`, which a submit wakes one at a time; callers of
+/// [`Scheduler::wait`] wait on `settled`, so a submit never wakes a
+/// waiter in place of an idle worker.
+struct Shared {
+    inner: Mutex<Inner>,
+    /// A job was queued, or the scheduler is shutting down.
+    work: Condvar,
+    /// A job settled, or the scheduler is shutting down.
+    settled: Condvar,
+}
+
 /// Bounded-queue job scheduler with a content-addressed result cache.
 pub struct Scheduler {
-    shared: Arc<(Mutex<Inner>, Condvar)>,
+    shared: Arc<Shared>,
     config: SchedulerConfig,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -155,8 +167,8 @@ pub struct Scheduler {
 impl Scheduler {
     /// Starts `config.workers` worker threads.
     pub fn new(config: SchedulerConfig) -> Scheduler {
-        let shared = Arc::new((
-            Mutex::new(Inner {
+        let shared = Arc::new(Shared {
+            inner: Mutex::new(Inner {
                 queue: VecDeque::new(),
                 jobs: HashMap::new(),
                 finished: VecDeque::new(),
@@ -172,13 +184,15 @@ impl Scheduler {
                 rejected: 0,
                 notifier: None,
             }),
-            Condvar::new(),
-        ));
+            work: Condvar::new(),
+            settled: Condvar::new(),
+        });
+        let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         let workers = (0..config.workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 let exec_threads = config.exec_threads;
-                std::thread::spawn(move || worker_loop(&shared, exec_threads))
+                std::thread::spawn(move || worker_loop(&shared, exec_threads, host_threads))
             })
             .collect();
         Scheduler {
@@ -192,15 +206,13 @@ impl Scheduler {
     /// It fires for every future settle — completion, failure,
     /// cancellation, shutdown drain — outside the scheduler lock.
     pub fn set_notifier(&self, notifier: SettleNotifier) {
-        let (lock, _) = &*self.shared;
-        lock.lock().expect("scheduler lock").notifier = Some(notifier);
+        self.shared.inner.lock().expect("scheduler lock").notifier = Some(notifier);
     }
 
     /// Submits a request: cache hit, queued job, or rejection.
     pub fn submit(&self, spec: RunRequest) -> SubmitOutcome {
         let key = spec.experiment.cacheable().then(|| cache_key(&spec));
-        let (lock, cvar) = &*self.shared;
-        let mut inner = lock.lock().expect("scheduler lock");
+        let mut inner = self.shared.inner.lock().expect("scheduler lock");
         inner.submitted += 1;
         if let Some(hit) = key.as_ref().and_then(|key| inner.cache.get(key)) {
             return SubmitOutcome::Cached(hit);
@@ -223,14 +235,13 @@ impl Scheduler {
             },
         );
         inner.queue.push_back(id);
-        cvar.notify_one();
+        self.shared.work.notify_one();
         SubmitOutcome::Accepted(id)
     }
 
     /// The job's current state, if it is still known.
     pub fn status(&self, id: u64) -> Option<JobState> {
-        let (lock, _) = &*self.shared;
-        let inner = lock.lock().expect("scheduler lock");
+        let inner = self.shared.inner.lock().expect("scheduler lock");
         inner.jobs.get(&id).map(|j| j.state.clone())
     }
 
@@ -239,8 +250,7 @@ impl Scheduler {
     /// effort — monolithic experiment calls finish first and are then
     /// discarded). Returns false for unknown or already-settled jobs.
     pub fn cancel(&self, id: u64) -> bool {
-        let (lock, cvar) = &*self.shared;
-        let mut inner = lock.lock().expect("scheduler lock");
+        let mut inner = self.shared.inner.lock().expect("scheduler lock");
         let state = match inner.jobs.get(&id) {
             None => return false,
             Some(job) => job.state.clone(),
@@ -250,7 +260,7 @@ impl Scheduler {
                 inner.queue.retain(|&q| q != id);
                 inner.cancelled += 1;
                 inner.settle(id, JobState::Failed(ExecError::Cancelled));
-                cvar.notify_all();
+                self.shared.settled.notify_all();
                 let notifier = inner.notifier.clone();
                 drop(inner);
                 if let Some(notify) = notifier {
@@ -269,9 +279,8 @@ impl Scheduler {
     /// Blocks until the job settles or `timeout` passes. Returns the
     /// settled state, or `None` on timeout / unknown id.
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobState> {
-        let (lock, cvar) = &*self.shared;
         let deadline = Instant::now() + timeout;
-        let mut inner = lock.lock().expect("scheduler lock");
+        let mut inner = self.shared.inner.lock().expect("scheduler lock");
         loop {
             match inner.jobs.get(&id) {
                 None => return None,
@@ -282,7 +291,9 @@ impl Scheduler {
             if now >= deadline {
                 return None;
             }
-            let (guard, _) = cvar
+            let (guard, _) = self
+                .shared
+                .settled
                 .wait_timeout(inner, deadline - now)
                 .expect("scheduler lock");
             inner = guard;
@@ -291,8 +302,7 @@ impl Scheduler {
 
     /// A point-in-time stats snapshot as a wire object.
     pub fn stats_json(&self) -> Json {
-        let (lock, _) = &*self.shared;
-        let inner = lock.lock().expect("scheduler lock");
+        let inner = self.shared.inner.lock().expect("scheduler lock");
         Json::obj([
             ("workers", self.config.workers.into()),
             ("queue_capacity", self.config.queue_capacity.into()),
@@ -309,11 +319,12 @@ impl Scheduler {
     }
 
     /// Stops accepting work, cancels queued jobs, and joins workers.
-    /// Running jobs get their cancellation flag set and are joined.
+    /// Running jobs get their cancellation flag set and are joined, so
+    /// every job has settled, and every [`Scheduler::wait`] returned,
+    /// once this returns.
     pub fn shutdown(&self) {
-        let (lock, cvar) = &*self.shared;
         let (drained, notifier) = {
-            let mut inner = lock.lock().expect("scheduler lock");
+            let mut inner = self.shared.inner.lock().expect("scheduler lock");
             inner.shutdown = true;
             let mut drained = Vec::new();
             while let Some(id) = inner.queue.pop_front() {
@@ -326,7 +337,8 @@ impl Scheduler {
                     job.cancel.store(true, Ordering::SeqCst);
                 }
             }
-            cvar.notify_all();
+            self.shared.work.notify_all();
+            self.shared.settled.notify_all();
             (drained, inner.notifier.clone())
         };
         if let Some(notify) = notifier {
@@ -346,11 +358,18 @@ impl Scheduler {
     }
 }
 
-fn worker_loop(shared: &Arc<(Mutex<Inner>, Condvar)>, exec_threads: usize) {
-    let (lock, cvar) = &**shared;
+/// The pool threads a job runs on: the request's `threads` hint capped
+/// at the host's parallelism, else the server's default. Replies do not
+/// depend on it (`tests/determinism.rs`), so the cap changes no byte;
+/// it keeps one request from starting an unbounded number of threads.
+fn job_threads(hint: Option<usize>, default: usize, host: usize) -> usize {
+    hint.map_or(default, |threads| threads.min(host)).max(1)
+}
+
+fn worker_loop(shared: &Shared, exec_threads: usize, host_threads: usize) {
     loop {
         let (id, spec, cancel) = {
-            let mut inner = lock.lock().expect("scheduler lock");
+            let mut inner = shared.inner.lock().expect("scheduler lock");
             loop {
                 if let Some(id) = inner.queue.pop_front() {
                     let job = inner.jobs.get_mut(&id).expect("queued job exists");
@@ -365,11 +384,11 @@ fn worker_loop(shared: &Arc<(Mutex<Inner>, Condvar)>, exec_threads: usize) {
                 if inner.shutdown {
                     return;
                 }
-                inner = cvar.wait(inner).expect("scheduler lock");
+                inner = shared.work.wait(inner).expect("scheduler lock");
             }
         };
 
-        let threads = spec.threads.unwrap_or(exec_threads).max(1);
+        let threads = job_threads(spec.threads, exec_threads, host_threads);
         let deadline = spec
             .deadline_ms
             .map(|ms| Instant::now() + Duration::from_millis(ms));
@@ -402,7 +421,7 @@ fn worker_loop(shared: &Arc<(Mutex<Inner>, Condvar)>, exec_threads: usize) {
         };
 
         let notifier = {
-            let mut inner = lock.lock().expect("scheduler lock");
+            let mut inner = shared.inner.lock().expect("scheduler lock");
             inner.running -= 1;
             inner.avg_job_ms = if inner.avg_job_ms == 0.0 {
                 elapsed_ms
@@ -426,7 +445,7 @@ fn worker_loop(shared: &Arc<(Mutex<Inner>, Condvar)>, exec_threads: usize) {
                     inner.settle(id, JobState::Failed(err));
                 }
             }
-            cvar.notify_all();
+            shared.settled.notify_all();
             inner.notifier.clone()
         };
         if let Some(notify) = notifier {
@@ -539,6 +558,17 @@ mod tests {
             s.wait(id, Duration::from_secs(5)).unwrap(),
             JobState::Failed(ExecError::Deadline)
         );
+    }
+
+    #[test]
+    fn the_threads_hint_is_capped_at_the_host() {
+        assert_eq!(job_threads(Some(1 << 40), 2, 4), 4);
+        assert_eq!(job_threads(Some(usize::MAX), 2, 4), 4);
+        assert_eq!(job_threads(Some(3), 2, 8), 3);
+        assert_eq!(job_threads(Some(0), 2, 8), 1);
+        assert_eq!(job_threads(None, 2, 8), 2);
+        // The server's own default is configuration, not a request hint.
+        assert_eq!(job_threads(None, 16, 8), 16);
     }
 
     #[test]

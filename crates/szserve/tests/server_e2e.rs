@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use sz_harness::Json;
 use sz_serve::scheduler::SchedulerConfig;
-use sz_serve::{FederationConfig, Server, ServerConfig};
+use sz_serve::{Server, ServerConfig};
 
 fn start(workers: usize, queue_capacity: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
     let server = Server::bind(ServerConfig {
@@ -20,8 +20,7 @@ fn start(workers: usize, queue_capacity: usize) -> (SocketAddr, std::thread::Joi
             exec_threads: 2,
             cache_budget: 32 << 20,
         },
-        loops: 2,
-        federation: FederationConfig::default(),
+        ..ServerConfig::default()
     })
     .expect("bind ephemeral port");
     let addr = server.local_addr().expect("resolved addr");
@@ -347,10 +346,11 @@ fn server_survives_a_64_client_concurrent_burst() {
     shutdown(addr, handle);
 }
 
-/// Regression: the thread-per-connection front end joined every
+/// Regression: an early thread-per-connection front end joined every
 /// handler thread on shutdown, so a connected client that never sent
 /// a byte parked its handler in a blocking `read` and hung `serve()`
-/// indefinitely. The event loop closes idle connections on stop.
+/// indefinitely. Stopping now shuts down every open connection first,
+/// which ends each blocked `read`.
 #[test]
 fn shutdown_with_a_silent_connected_client_completes_within_the_deadline() {
     let (addr, handle) = start(1, 4);
@@ -388,6 +388,9 @@ fn stats_count_connection_errors() {
     // A 1 MiB+ line without a newline overflows the read buffer; the
     // server closes the connection and counts the error.
     let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
     let huge = vec![b'x'; (1 << 20) + 4096];
     let _ = (&stream).write_all(&huge);
     let mut closed = String::new();
